@@ -34,9 +34,7 @@ from .experiment import (
     simulate_beam_block,
     simulate_interferogram,
 )
-from .quantum import wrap_two_pi
-
-TWO_PI = 2.0 * math.pi
+from .quantum import TWO_PI, wrap_two_pi
 
 
 class FitError(ValueError):
@@ -108,12 +106,55 @@ class SinusoidFit:
         return num / (amp_sq * amp_sq)
 
 
+def _gram_schmidt(columns: np.ndarray) -> tuple:
+    """Thin QR factorization of the k columns stored as the rows of
+    ``columns`` (k x n), by Gram-Schmidt with one full reorthogonalization
+    pass, which keeps Q orthonormal to rounding for the condition numbers
+    met here (about 142 for a Poisson-weighted half-period design).
+
+    Returns (q, r): the orthonormal columns as a list of rows and the k x k
+    upper-triangular factor.  Raises FitError when a column depends on the
+    previous ones to within rounding, the rank criterion of a least-squares
+    solver (max(n, k) * eps of the largest column norm).
+    """
+    k, n = columns.shape
+    norms = [math.sqrt(float(v @ v)) for v in columns]
+    tol = max(n, k) * np.finfo(float).eps * max(norms)
+    q = []
+    r = np.zeros((k, k))
+    for j, v in enumerate(columns):
+        for _ in range(2):
+            for i, q_i in enumerate(q):
+                h = float(q_i @ v)
+                v = v - h * q_i
+                r[i, j] += h
+        norm = math.sqrt(float(v @ v))
+        if not norm > tol:
+            raise FitError("rank-deficient design (abscissae do not span a fringe)")
+        r[j, j] = norm
+        q.append(v / norm)
+    return q, r
+
+
+def _upper_inverse(r: np.ndarray) -> np.ndarray:
+    """Inverse of a 3x3 upper-triangular matrix by back substitution."""
+    (a, b, c), (_, d, e), (_, _, f) = r.tolist()
+    return np.array([
+        [1.0 / a, -b / (a * d), (b * e - c * d) / (a * d * f)],
+        [0.0, 1.0 / d, -e / (d * f)],
+        [0.0, 0.0, 1.0 / f],
+    ])
+
+
 def fit_sinusoid_xy(x, y, variances) -> SinusoidFit:
     """Weighted least squares of y = a + b*cos(x) + c*sin(x).
 
     variances are per-point; the fit minimizes sum((y - model)^2 / var).
-    Raises FitError when the design is rank deficient (fewer than three
-    independent abscissae).
+    The weighted design is factored as QR (two-pass Gram-Schmidt), so the
+    coefficients are R^-1 Q^T (y / sigma) and their covariance R^-1 R^-T;
+    unlike the normal equations this keeps the rounding error proportional
+    to the design's condition number, not its square.  Raises FitError when
+    the design is rank deficient (fewer than three independent abscissae).
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -125,19 +166,17 @@ def fit_sinusoid_xy(x, y, variances) -> SinusoidFit:
     if np.any(var <= 0.0):
         raise FitError("variances must be positive")
 
-    design = np.column_stack([np.ones_like(x), np.cos(x), np.sin(x)])
+    design = np.array([np.ones_like(x), np.cos(x), np.sin(x)])
     weight = 1.0 / np.sqrt(var)
-    coef, _, rank, _ = np.linalg.lstsq(design * weight[:, None], y * weight,
-                                       rcond=None)
-    if rank < 3:
-        raise FitError("rank-deficient design (abscissae do not span a fringe)")
-
-    normal = (design * (1.0 / var)[:, None]).T @ design
-    covariance = np.linalg.inv(normal)
-    residual = y - design @ coef
+    q, r = _gram_schmidt(design * weight)
+    r_inv = _upper_inverse(r)
+    wy = y * weight
+    coef = r_inv @ np.array([float(q_i @ wy) for q_i in q])
+    covariance = r_inv @ r_inv.T
+    residual = y - coef @ design
     chi2 = float(np.sum(residual * residual / var))
 
-    a, b, c = (float(v) for v in coef)
+    a, b, c = coef.tolist()
     amplitude = math.hypot(b, c)
     phase = math.atan2(-c, b)
     if amplitude == 0.0:
@@ -262,15 +301,15 @@ def _expectation_from_counts(values) -> tuple:
 
 
 class _BellMeasurement:
-    """One full set of counting runs for an S estimate at fixed polar spin
-    angles: beam-block quadruples for the +-z path terms and calibrated
-    fringe fits (with their references) for the +-x path terms."""
+    """One full set of counting runs at a list of spin-analysis angles:
+    beam-block runs for the +-z path terms and calibrated fringe fits (with
+    their references) for the +-x path terms.  For an S estimate the angles
+    are (beta1, beta1 + pi, beta1', beta1' + pi)."""
 
-    def __init__(self, config: ExperimentConfig, gamma: float, beta1: float,
-                 beta1_p: float, chi_grid=None, exact: bool = False,
+    def __init__(self, config: ExperimentConfig, gamma: float, deltas,
+                 chi_grid=None, exact: bool = False,
                  normalize_contrast: bool = False, base_stream: int = 0):
         self.gamma = float(gamma)
-        deltas = np.array([beta1, beta1 + math.pi, beta1_p, beta1_p + math.pi])
         self.block_plus = simulate_beam_block(
             config, deltas, gamma, "II", stream=(base_stream, 0), exact=exact)
         self.block_minus = simulate_beam_block(
@@ -338,6 +377,11 @@ class _BellMeasurement:
         return s_from_expectations(e1, e2, e3, e4, (s1, s2, s3, s4))
 
 
+def _bell_deltas(beta1: float, beta1_p: float) -> np.ndarray:
+    """Spin-analysis angles of one S estimate."""
+    return np.array([beta1, beta1 + math.pi, beta1_p, beta1_p + math.pi])
+
+
 @dataclass(frozen=True)
 class BellEstimate:
     """Full-pipeline S estimate at one angle configuration."""
@@ -363,8 +407,9 @@ def estimate_bell_s(config: ExperimentConfig, gamma: float,
     flipper-off references at the same angles supply the +-x projections,
     evaluated at the positions corresponding to the path azimuth alpha2_p.
     """
-    measurement = _BellMeasurement(config, gamma, beta1, beta1_p, chi_grid,
-                                   exact, normalize_contrast, base_stream)
+    measurement = _BellMeasurement(config, gamma, _bell_deltas(beta1, beta1_p),
+                                   chi_grid, exact, normalize_contrast,
+                                   base_stream)
     s, sigma = measurement.s_at(alpha2_p)
     return BellEstimate(s=s, sigma_s=sigma, gamma=float(gamma),
                         alpha2p=float(alpha2_p),
@@ -397,7 +442,7 @@ def default_polar_delta_grid() -> np.ndarray:
 def default_gamma_grid() -> np.ndarray:
     """Geometric phases: steps of pi/6 up to pi, then steps of pi/4."""
     first = np.arange(0.0, math.pi + 1e-12, math.pi / 6.0)
-    second = np.arange(math.pi + math.pi / 4.0, 2.0 * math.pi + 1e-12,
+    second = np.arange(math.pi + math.pi / 4.0, TWO_PI + 1e-12,
                        math.pi / 4.0)
     return np.concatenate([first, second])
 
@@ -433,27 +478,16 @@ def run_polar_scan(config: ExperimentConfig, gamma_list, delta_grid=None,
 
     results = []
     for ig, gamma in enumerate(gamma_values):
-        block_plus = simulate_beam_block(config, deltas, gamma, "II",
-                                         stream=(ig, 0), exact=exact)
-        block_minus = simulate_beam_block(config, deltas, gamma, "I",
-                                          stream=(ig, 1), exact=exact)
-        z_plus = fit_sinusoid_xy(deltas, np.asarray(block_plus.counts, float),
-                                 np.maximum(np.asarray(block_plus.counts, float), 1.0))
-        z_minus = fit_sinusoid_xy(deltas, np.asarray(block_minus.counts, float),
-                                  np.maximum(np.asarray(block_minus.counts, float), 1.0))
+        measurement = _BellMeasurement(config, gamma, deltas, chi_grid, exact,
+                                       normalize_contrast, base_stream=ig)
+        counts_plus = np.asarray(measurement.block_plus.counts, float)
+        counts_minus = np.asarray(measurement.block_minus.counts, float)
+        z_plus = fit_sinusoid_xy(deltas, counts_plus, np.maximum(counts_plus, 1.0))
+        z_minus = fit_sinusoid_xy(deltas, counts_minus,
+                                  np.maximum(counts_minus, 1.0))
 
         proj_0, proj_pi, var_0, var_pi = [], [], [], []
-        for i, delta in enumerate(deltas):
-            gram = simulate_interferogram(config, delta, gamma, chi_grid,
-                                          stream=(ig, 2, i), exact=exact)
-            ref = reference_run(config, delta, chi_grid,
-                                stream=(ig, 3, i), exact=exact)
-            fit = fit_sinusoid(gram)
-            ref_fit = fit_sinusoid(ref)
-            if normalize_contrast:
-                fit = normalize_by_reference(fit, ref_fit)
-            else:
-                fit = calibrate_phase(fit, ref_fit)
+        for fit in measurement.fits:
             i0, ipi = projections_from_fit(fit)
             proj_0.append(i0)
             proj_pi.append(ipi)
@@ -498,8 +532,8 @@ def run_azimuthal_scan(config: ExperimentConfig, gamma_list, chi_grid=None,
     results = []
     for ig, gamma in enumerate(gamma_values):
         measurement = _BellMeasurement(
-            config, gamma, math.pi / 4.0, 3.0 * math.pi / 4.0, chi_grid,
-            exact, normalize_contrast, base_stream=ig)
+            config, gamma, _bell_deltas(math.pi / 4.0, 3.0 * math.pi / 4.0),
+            chi_grid, exact, normalize_contrast, base_stream=ig)
         alpha2p = measurement.fitted_phase
         s_adj, sigma_adj = measurement.s_at(alpha2p)
         s_raw, sigma_raw = measurement.s_at(0.0)

@@ -26,7 +26,6 @@ from .quantum import (
     wrap_pi,
 )
 
-TWO_PI = 2.0 * math.pi
 TSIRELSON = 2.0 * math.sqrt(2.0)
 
 

@@ -36,6 +36,7 @@ from .chsh import (
 from .experiment import (
     ExperimentConfig,
     config_echo,
+    default_chi_grid,
     format_kv,
     parse_kv,
     reference_run,
@@ -44,8 +45,7 @@ from .experiment import (
     write_beam_block,
     write_interferogram,
 )
-
-TWO_PI = 2.0 * math.pi
+from .quantum import TWO_PI
 
 KINDS = (
     "analytic",
@@ -113,14 +113,23 @@ def _resolve_gamma_list(parameters: dict) -> list:
     return gammas
 
 
-def _chi_grid(parameters: dict) -> np.ndarray:
-    points = int(parameters.get("chi_points") or 32)
-    periods = int(parameters.get("chi_periods") or 2)
-    if points <= 0:
-        raise ValueError("chi_points must be positive")
-    if periods <= 0:
-        raise ValueError("chi_periods must be positive")
-    return np.linspace(0.0, periods * TWO_PI, points, endpoint=False)
+def _get(parameters: dict, field: str, default):
+    """The field's value, or the default when the field is absent; a given
+    zero or empty value is kept for validation, never replaced."""
+    value = parameters.get(field)
+    return default if value is None else value
+
+
+def _count(parameters: dict, field: str, default: int, minimum: int = 1) -> int:
+    value = int(_get(parameters, field, default))
+    if value < minimum:
+        raise ValueError(f"{field} must be at least {minimum}, got {value}")
+    return value
+
+
+def _chi_size(parameters: dict) -> tuple:
+    """(chi_points, chi_periods) of the phase-shifter grid."""
+    return _count(parameters, "chi_points", 32), _count(parameters, "chi_periods", 2)
 
 
 def _write_csv(path: Path, header: str, rows) -> None:
@@ -150,7 +159,7 @@ def _run_analytic(scenario: Scenario, out: Path) -> dict:
 
 def _run_surface(scenario: Scenario, out: Path) -> dict:
     gamma = parse_angle(_require(scenario.parameters, "gamma"))
-    step = parse_angle(scenario.parameters.get("step") or math.pi / 90.0)
+    step = parse_angle(_get(scenario.parameters, "step", math.pi / 90.0))
     if step <= 0:
         raise ValueError("step must be positive")
     grid = np.arange(-math.pi, math.pi, step)
@@ -173,7 +182,8 @@ def _run_simulate(scenario: Scenario, out: Path) -> dict:
     delta = parse_angle(_require(p, "delta"))
     flipper_on = p.get("flipper_on")
     flipper_on = True if flipper_on is None else bool(flipper_on)
-    chi = _chi_grid(p)
+    points, periods = _chi_size(p)
+    chi = default_chi_grid(points, periods)
     exact = bool(p.get("exact") or False)
     if flipper_on:
         gamma = parse_angle(_require(p, "gamma"))
@@ -185,8 +195,7 @@ def _run_simulate(scenario: Scenario, out: Path) -> dict:
     write_interferogram(gram, out / "interferogram.csv", scenario.config)
     return {
         "delta": delta, "gamma": gamma, "flipper_on": flipper_on,
-        "chi_points": chi.size, "chi_periods": int(p.get("chi_periods") or 2),
-        "exact": exact,
+        "chi_points": points, "chi_periods": periods, "exact": exact,
     }
 
 
@@ -194,9 +203,7 @@ def _run_beam_block(scenario: Scenario, out: Path) -> dict:
     p = scenario.parameters
     blocked = str(_require(p, "blocked_path"))
     gamma = parse_angle(p.get("gamma") or 0.0)
-    points = int(p.get("delta_points") or 17)
-    if points < 2:
-        raise ValueError("delta_points must be at least 2")
+    points = _count(p, "delta_points", 17, minimum=2)
     exact = bool(p.get("exact") or False)
     deltas = np.linspace(0.0, TWO_PI, points)
     scan = simulate_beam_block(scenario.config, deltas, gamma, blocked,
@@ -211,12 +218,13 @@ def _run_beam_block(scenario: Scenario, out: Path) -> dict:
 def _run_polar_scan(scenario: Scenario, out: Path) -> dict:
     p = scenario.parameters
     gammas = _resolve_gamma_list(p)
-    delta_step = parse_angle(p.get("delta_step") or math.pi / 8.0)
+    delta_step = parse_angle(_get(p, "delta_step", math.pi / 8.0))
     if delta_step <= 0 or delta_step > math.pi / 8.0 + 1e-12:
         raise ValueError("delta_step must be positive and at most pi/8")
     n = int(round(math.pi / delta_step)) + 1
     deltas = np.linspace(0.0, math.pi, n)
-    chi = _chi_grid(p)
+    points, periods = _chi_size(p)
+    chi = default_chi_grid(points, periods)
     exact = bool(p.get("exact") or False)
     normalize = bool(p.get("normalize_contrast") or False)
     results = run_polar_scan(scenario.config, gammas, delta_grid=deltas,
@@ -226,8 +234,7 @@ def _run_polar_scan(scenario: Scenario, out: Path) -> dict:
     return {
         "gamma_list": ",".join(repr(float(g)) for g in gammas),
         "delta_step": delta_step,
-        "chi_points": chi.size,
-        "chi_periods": int(p.get("chi_periods") or 2),
+        "chi_points": points, "chi_periods": periods,
         "exact": exact, "normalize_contrast": normalize,
     }
 
@@ -235,7 +242,8 @@ def _run_polar_scan(scenario: Scenario, out: Path) -> dict:
 def _run_azimuthal_scan(scenario: Scenario, out: Path) -> dict:
     p = scenario.parameters
     gammas = _resolve_gamma_list(p)
-    chi = _chi_grid(p)
+    points, periods = _chi_size(p)
+    chi = default_chi_grid(points, periods)
     exact = bool(p.get("exact") or False)
     normalize = bool(p.get("normalize_contrast") or False)
     results = run_azimuthal_scan(scenario.config, gammas, chi_grid=chi,
@@ -243,8 +251,7 @@ def _run_azimuthal_scan(scenario: Scenario, out: Path) -> dict:
     write_scan_results(results, out / "scan_azimuthal.csv")
     return {
         "gamma_list": ",".join(repr(float(g)) for g in gammas),
-        "chi_points": chi.size,
-        "chi_periods": int(p.get("chi_periods") or 2),
+        "chi_points": points, "chi_periods": periods,
         "exact": exact, "normalize_contrast": normalize,
     }
 

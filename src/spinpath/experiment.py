@@ -21,14 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quantum import (
-    JointSetting,
-    PureState,
-    bell_state,
-    joint_probability,
-    path_direction,
-    spin_direction,
-)
+from .quantum import TWO_PI, wrap_two_pi
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -63,6 +56,11 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("max_rate", "measure_time", "visibility", "theta",
+                     "dyn_offset"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.max_rate <= 0.0:
             raise ValueError(f"max_rate must be positive, got {self.max_rate!r}")
         if self.measure_time <= 0.0:
@@ -141,8 +139,15 @@ class CountQuadruple:
 
 
 def stream_rng(seed: int, *key: int) -> np.random.Generator:
-    """Independent PCG64 generator for stream (seed, *key)."""
-    entropy = [int(seed) & 0xFFFFFFFFFFFFFFFF]
+    """Independent PCG64 generator for stream (seed, *key).
+
+    The seed must be a nonnegative integer; distinct seeds give distinct
+    streams.
+    """
+    seed = int(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed!r}")
+    entropy = [seed]
     entropy.extend(int(k) for k in key)
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
@@ -155,37 +160,60 @@ def _stream_key(stream) -> tuple:
 
 def default_chi_grid(points: int = 32, periods: int = 2) -> np.ndarray:
     """Phase-shifter scan positions: two fringe periods, 32 points."""
-    return np.linspace(0.0, periods * 2.0 * math.pi, points, endpoint=False)
+    return np.linspace(0.0, periods * TWO_PI, points, endpoint=False)
 
 
-def _x_plus_probability(state: PureState, delta: float) -> float:
-    """Joint probability for path +x and spin analyzer angle delta."""
-    setting = JointSetting(path_direction(math.pi / 2.0), spin_direction(delta))
-    return joint_probability(state, setting)
+def rate_grid(config: ExperimentConfig, delta, phase,
+              path_polar: float = math.pi / 2.0, flipper_on: bool = True,
+              scan: str = "phase") -> np.ndarray:
+    """Expected O-beam rates over a grid of analyzer angles and branch phases.
 
+    The ideal probability is the joint projection |<path, spin delta|psi>|^2
+    of psi = (|I,up> + e^{i phase} |II,s>) / sqrt2, where s is the beam-II
+    spin left by the flipper, sin(theta/2) |up> + cos(theta/2) |down> (theta
+    reduced mod 2*pi as in bell_state), or |up> with the flipper off.  The
+    path direction has polar angle path_polar and zero azimuth: pi/2 is +x,
+    0 is beam I and pi is beam II.  delta and phase broadcast together.
 
-def _blended_rate(config: ExperimentConfig, p: float, p_scan_mean: float) -> float:
-    blended = p_scan_mean + config.visibility * (p - p_scan_mean)
-    return 2.0 * config.max_rate * blended
+    Finite contrast blends each point toward the scan average of the ideal
+    curve; the curve is a single harmonic in the scanned variable (scan =
+    "phase" or "delta"), so that average is (p(x) + p(x + pi)) / 2 exactly.
+    """
+    if scan not in ("phase", "delta"):
+        raise ValueError(f"scan must be 'phase' or 'delta', got {scan!r}")
+    if flipper_on:
+        half_theta = wrap_two_pi(config.theta) / 2.0
+        up, down = math.sin(half_theta), math.cos(half_theta)
+    else:
+        up, down = 1.0, 0.0
+    # path-ket components times the 1/sqrt2 of the state
+    path_i = math.cos(path_polar / 2.0) * _SQRT_HALF
+    path_ii = math.sin(path_polar / 2.0) * _SQRT_HALF
+    delta = np.asarray(delta, dtype=float)
+    phase = np.asarray(phase, dtype=float)
+
+    def prob(d, ph):
+        cos_d, sin_d = np.cos(d / 2.0), np.sin(d / 2.0)
+        amp_i = path_i * cos_d
+        amp_ii = path_ii * (up * cos_d + down * sin_d)
+        real = amp_i + amp_ii * np.cos(ph)
+        imag = amp_ii * np.sin(ph)
+        return real * real + imag * imag
+
+    p = prob(delta, phase)
+    if scan == "phase":
+        mean = 0.5 * (p + prob(delta, phase + math.pi))
+    else:
+        mean = 0.5 * (p + prob(delta + math.pi, phase))
+    return 2.0 * config.max_rate * (mean + config.visibility * (p - mean))
 
 
 def detection_rate(config: ExperimentConfig, chi: float, delta: float,
                    gamma: float) -> float:
     """Expected O-beam rate at phase-shifter position chi, analyzer angle
-    delta and geometric phase gamma.
-
-    The ideal probability is the joint projection onto path +x and spin
-    +delta of the prepared state; the fringe is a single harmonic in chi, so
-    its scan mean equals (p(chi) + p(chi + pi)) / 2 exactly, which anchors
-    the contrast blend.
-    """
-    def prob(c):
-        state = bell_state(gamma, config.theta, c, dyn_offset=config.dyn_offset)
-        return _x_plus_probability(state, delta)
-
-    p = prob(chi)
-    mean = 0.5 * (p + prob(chi + math.pi))
-    return _blended_rate(config, p, mean)
+    delta and geometric phase gamma: path +x, branch phase chi + dyn_offset
+    + gamma, blended over chi."""
+    return float(rate_grid(config, delta, chi + config.dyn_offset + gamma))
 
 
 def beam_block_rate(config: ExperimentConfig, delta: float, gamma: float,
@@ -193,50 +221,43 @@ def beam_block_rate(config: ExperimentConfig, delta: float, gamma: float,
     """Expected rate with one beam stopped and the spin analyzed at delta.
 
     With a single surviving branch the overall branch phase (chi, gamma,
-    dynamical offsets) is unobservable and drops before squaring, so the
-    curve is built from the gamma = 0, chi = 0 state; only the flip
-    imperfection theta survives.  Blocking II measures path +z (beam I,
-    spin up); blocking I measures path -z.
+    dynamical offsets) is unobservable, so the curve depends on theta only.
+    Blocking II measures path +z (beam I, spin up); blocking I measures
+    path -z.
     """
-    if blocked_path not in ("I", "II"):
-        raise ValueError(f"blocked_path must be 'I' or 'II', got {blocked_path!r}")
-    polar = 0.0 if blocked_path == "II" else math.pi
-    state = bell_state(0.0, config.theta, 0.0)
-
-    def prob(d):
-        setting = JointSetting(path_direction(polar), spin_direction(d))
-        return joint_probability(state, setting)
-
-    p = prob(delta)
-    mean = 0.5 * (p + prob(delta + math.pi))
-    return _blended_rate(config, p, mean)
-
-
-def _reference_state(chi: float, dyn_offset: float) -> PureState:
-    """Flipper-off state: both beams carry spin up, (|I> + e^{i chi'}|II>)
-    tensor |up>, chi' = chi + dyn_offset."""
-    phase = complex(math.cos(chi + dyn_offset), math.sin(chi + dyn_offset))
-    return PureState(
-        (_SQRT_HALF, 0.0, phase * _SQRT_HALF, 0.0),
-        gamma=0.0, theta=math.pi, path_phase=chi, dyn_offset=dyn_offset,
-    )
+    return float(rate_grid(config, delta, 0.0, _block_polar(blocked_path),
+                           scan="delta"))
 
 
 def reference_rate(config: ExperimentConfig, chi: float, delta: float) -> float:
     """Expected rate with the interferometer flipper switched off; fringes
     follow 1 + V cos(chi + dyn_offset) regardless of gamma."""
-    def prob(c):
-        return _x_plus_probability(_reference_state(c, config.dyn_offset), delta)
-
-    p = prob(chi)
-    mean = 0.5 * (p + prob(chi + math.pi))
-    return _blended_rate(config, p, mean)
+    return float(rate_grid(config, delta, chi + config.dyn_offset,
+                           flipper_on=False))
 
 
-def _draw_counts(expected: np.ndarray, rng, exact: bool) -> np.ndarray:
-    if exact:
-        return expected
-    return rng.poisson(expected)
+def _block_polar(blocked_path: str) -> float:
+    """Path polar angle measured with the other beam stopped."""
+    if blocked_path not in ("I", "II"):
+        raise ValueError(f"blocked_path must be 'I' or 'II', got {blocked_path!r}")
+    return 0.0 if blocked_path == "II" else math.pi
+
+
+def _chi_values(chi_grid) -> np.ndarray:
+    chi = default_chi_grid() if chi_grid is None else np.asarray(chi_grid, dtype=float)
+    if chi.size == 0:
+        raise ValueError("chi_grid must not be empty")
+    return chi
+
+
+def _draw_counts(config: ExperimentConfig, rates: np.ndarray, rng, kind: int,
+                 stream, exact: bool) -> np.ndarray:
+    """Expected counts (exact mode) or one Poisson draw per point, from the
+    run's own stream (seed, kind, *stream) unless an rng is passed."""
+    if rng is None:
+        rng = stream_rng(config.seed, kind, *_stream_key(stream))
+    expected = rates * config.measure_time
+    return expected if exact else rng.poisson(expected)
 
 
 def simulate_interferogram(config: ExperimentConfig, delta: float, gamma: float,
@@ -248,13 +269,9 @@ def simulate_interferogram(config: ExperimentConfig, delta: float, gamma: float,
     expected counts are returned unsampled (floats), which is the
     infinite-statistics mode used by the analysis pipeline checks.
     """
-    chi = default_chi_grid() if chi_grid is None else np.asarray(chi_grid, dtype=float)
-    if chi.size == 0:
-        raise ValueError("chi_grid must not be empty")
-    rates = np.array([detection_rate(config, c, delta, gamma) for c in chi])
-    if rng is None:
-        rng = stream_rng(config.seed, STREAM_INTERFEROGRAM, *_stream_key(stream))
-    counts = _draw_counts(rates * config.measure_time, rng, exact)
+    chi = _chi_values(chi_grid)
+    rates = rate_grid(config, delta, chi + config.dyn_offset + gamma)
+    counts = _draw_counts(config, rates, rng, STREAM_INTERFEROGRAM, stream, exact)
     return Interferogram(chi, counts, delta=float(delta), gamma=float(gamma),
                          flipper_on=True)
 
@@ -266,12 +283,9 @@ def simulate_beam_block(config: ExperimentConfig, delta_grid, gamma: float,
     deltas = np.asarray(delta_grid, dtype=float)
     if deltas.size == 0:
         raise ValueError("delta_grid must not be empty")
-    rates = np.array(
-        [beam_block_rate(config, d, gamma, blocked_path) for d in deltas]
-    )
-    if rng is None:
-        rng = stream_rng(config.seed, STREAM_BEAM_BLOCK, *_stream_key(stream))
-    counts = _draw_counts(rates * config.measure_time, rng, exact)
+    rates = rate_grid(config, deltas, 0.0, _block_polar(blocked_path),
+                      scan="delta")
+    counts = _draw_counts(config, rates, rng, STREAM_BEAM_BLOCK, stream, exact)
     return BeamBlockScan(deltas, counts, blocked_path=blocked_path,
                          gamma=float(gamma))
 
@@ -280,13 +294,9 @@ def reference_run(config: ExperimentConfig, delta: float, chi_grid=None,
                   rng=None, stream=0, exact: bool = False) -> Interferogram:
     """Simulate a flipper-off reference scan used to calibrate the fringe
     phase zero and contrast."""
-    chi = default_chi_grid() if chi_grid is None else np.asarray(chi_grid, dtype=float)
-    if chi.size == 0:
-        raise ValueError("chi_grid must not be empty")
-    rates = np.array([reference_rate(config, c, delta) for c in chi])
-    if rng is None:
-        rng = stream_rng(config.seed, STREAM_REFERENCE, *_stream_key(stream))
-    counts = _draw_counts(rates * config.measure_time, rng, exact)
+    chi = _chi_values(chi_grid)
+    rates = rate_grid(config, delta, chi + config.dyn_offset, flipper_on=False)
+    counts = _draw_counts(config, rates, rng, STREAM_REFERENCE, stream, exact)
     return Interferogram(chi, counts, delta=float(delta), gamma=0.0,
                          flipper_on=False)
 

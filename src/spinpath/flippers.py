@@ -17,9 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quantum import PureState, wrap_two_pi
+from .quantum import TWO_PI, PureState, wrap_two_pi
 
-TWO_PI = 2.0 * math.pi
 FOUR_PI = 4.0 * math.pi
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)

@@ -10,6 +10,8 @@ from spinpath.analysis import (
     ScanResult,
     SinusoidFit,
     calibrate_phase,
+    default_gamma_grid,
+    default_polar_delta_grid,
     estimate_bell_s,
     fit_sinusoid,
     fit_sinusoid_xy,
@@ -21,7 +23,12 @@ from spinpath.analysis import (
     write_scan_results,
 )
 from spinpath.chsh import s_polar_max
-from spinpath.experiment import ExperimentConfig, Interferogram, simulate_interferogram
+from spinpath.experiment import (
+    ExperimentConfig,
+    Interferogram,
+    simulate_beam_block,
+    simulate_interferogram,
+)
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
 
@@ -91,6 +98,28 @@ def test_fit_rejects_degenerate_designs():
     with pytest.raises(FitError):
         fit_sinusoid_xy(np.array([0.0, 1.0, 2.0]), np.array([1.0, 1.0, 1.0]),
                         np.array([1.0, -1.0, 1.0]))
+
+
+@pytest.mark.parametrize("blocked_path", ["I", "II"])
+def test_fit_matches_lstsq_on_beam_block_design(blocked_path):
+    # the exact half-period beam-block curve has zero counts at one end, so
+    # the Poisson-weighted design has condition number ~142
+    deltas = default_polar_delta_grid()
+    counts = simulate_beam_block(ExperimentConfig(), deltas, 0.0, blocked_path,
+                                 exact=True).counts
+    var = np.maximum(counts, 1.0)
+    fit = fit_sinusoid_xy(deltas, counts, var)
+
+    weighted = (np.column_stack([np.ones_like(deltas), np.cos(deltas),
+                                 np.sin(deltas)]) / np.sqrt(var)[:, None])
+    assert np.linalg.cond(weighted) > 100.0
+    coef = np.linalg.lstsq(weighted, counts / np.sqrt(var), rcond=None)[0]
+    _, singular, vt = np.linalg.svd(weighted, full_matrices=False)
+    covariance = (vt.T / singular ** 2) @ vt
+    scale = np.max(np.abs(coef))
+    assert np.max(np.abs(np.array(fit.abc()) - coef)) <= 1e-13 * scale
+    assert np.max(np.abs(fit.covariance - covariance)) <= \
+        1e-13 * np.max(np.abs(covariance))
 
 
 def test_fit_poisson_visibility_coverage():
@@ -191,6 +220,12 @@ def test_polar_scan_matches_analytic_curve():
         assert r.s == pytest.approx(s_polar_max(r.gamma), abs=1e-6)
         assert polar_angle_deviation(r.beta1, r.beta1_p, r.gamma) < 1e-5
         assert r.method == "polar-adjusted"
+
+
+def test_exact_polar_scan_on_default_grid_matches_closed_form():
+    results = run_polar_scan(ExperimentConfig(), default_gamma_grid(), exact=True)
+    for r in results:
+        assert abs(r.s - 2.0 * math.sqrt(1.0 + math.cos(r.gamma) ** 2)) <= 1e-12
 
 
 def test_polar_scan_gamma_quarter_value():

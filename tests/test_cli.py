@@ -191,3 +191,33 @@ def test_missing_delta_names_it(tmp_path, capsys):
     code = main(["simulate", "--gamma", "0", "--out", str(tmp_path / "x")])
     assert code == 2
     assert "delta" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,field", [
+    (["simulate", "--exact", "--delta", "1", "--gamma", "0.5",
+      "--chi-points", "0"], "chi_points"),
+    (["simulate", "--exact", "--delta", "1", "--gamma", "0.5",
+      "--chi-periods", "0"], "chi_periods"),
+    (["scan-polar", "--exact", "--gamma-list", "0", "--chi-points", "0"],
+     "chi_points"),
+    (["scan-azimuthal", "--exact", "--gamma-list", "0", "--chi-periods", "0"],
+     "chi_periods"),
+    (["beam-block", "--exact", "--blocked-path", "I", "--delta-points", "0"],
+     "delta_points"),
+])
+def test_zero_sizes_are_rejected_not_defaulted(tmp_path, capsys, argv, field):
+    out = tmp_path / "x"
+    assert main(argv + ["--out", str(out)]) != 0
+    assert field in capsys.readouterr().err
+    assert not (out / "manifest.txt").exists()
+
+
+def test_zero_step_from_config_file_is_rejected(tmp_path, capsys):
+    # config-file values arrive parsed as numbers, so a zero step must not
+    # fall back to the default either
+    config = tmp_path / "run.cfg"
+    config.write_text("delta_step = 0\n", encoding="utf-8")
+    code = main(["scan-polar", "--exact", "--gamma-list", "0",
+                 "--config", str(config), "--out", str(tmp_path / "x")])
+    assert code != 0
+    assert "delta_step" in capsys.readouterr().err

@@ -20,11 +20,13 @@ from spinpath.experiment import (
     s_from_expectations,
     simulate_beam_block,
     simulate_interferogram,
+    stream_rng,
     write_beam_block,
     write_interferogram,
 )
 from spinpath.quantum import (
     JointSetting,
+    PureState,
     bell_state,
     joint_probability,
     path_direction,
@@ -47,6 +49,38 @@ TSIRELSON = 2.0 * math.sqrt(2.0)
 def test_config_validation_names_field(kwargs, field):
     with pytest.raises(ValueError, match=field):
         ExperimentConfig(**kwargs)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["max_rate", "measure_time", "visibility",
+                                   "theta", "dyn_offset"])
+def test_config_rejects_non_finite(field, value):
+    with pytest.raises(ValueError, match=field):
+        ExperimentConfig(**{field: value})
+
+
+# ---------------------------------------------------------------------------
+# Poisson streams
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("seed", [0, 1, 12345, 2 ** 63, 2 ** 64 - 1])
+def test_stream_rng_keeps_streams_of_64_bit_seeds(seed):
+    # the stream of (seed, *key) is the PCG64 stream of SeedSequence([seed,
+    # *key]) for every seed in [0, 2**64)
+    want = np.random.default_rng(np.random.SeedSequence([seed, 2, 7, 1]))
+    got = stream_rng(seed, 2, 7, 1)
+    assert np.array_equal(got.integers(0, 2 ** 62, 8), want.integers(0, 2 ** 62, 8))
+
+
+def test_stream_rng_rejects_negative_seed():
+    with pytest.raises(ValueError, match="seed"):
+        stream_rng(-1, 1)
+    with pytest.raises(ValueError, match="seed"):
+        simulate_interferogram(ExperimentConfig(seed=-1), 0.0, 0.0)
+    # seeds that a 64-bit mask would fold together keep distinct streams
+    draws = [stream_rng(seed, 1).integers(0, 2 ** 62, 4)
+             for seed in (0, 2 ** 64, 2 ** 64 - 1, 2 ** 65 - 1)]
+    assert len({tuple(d) for d in draws}) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -85,6 +119,62 @@ def test_detection_rate_blend_example():
     config = ExperimentConfig(max_rate=25.0, measure_time=40.0, visibility=0.5)
     counts = detection_rate(config, 0.0, math.pi / 2, 0.0) * config.measure_time
     assert counts == pytest.approx(750.0, abs=1e-9)
+
+
+def _oracle_rate(config, state, setting, partner_state, partner_setting):
+    """Blended rate from the scalar projector route: p at a point and at
+    its pi-shifted partner, via joint_probability."""
+    p = joint_probability(state, setting)
+    mean = 0.5 * (p + joint_probability(partner_state, partner_setting))
+    return 2.0 * config.max_rate * (mean + config.visibility * (p - mean))
+
+
+def _flipper_off_state(phase):
+    amp = complex(math.cos(phase), math.sin(phase)) / math.sqrt(2.0)
+    return PureState((1.0 / math.sqrt(2.0), 0.0, amp, 0.0))
+
+
+def test_rate_kernel_matches_projector_oracle():
+    # every simulate_* run evaluates one rate grid; with exact=True its
+    # counts are rate * measure_time and must agree with the scalar oracle
+    rng = np.random.default_rng(2024)
+    plus_x = path_direction(math.pi / 2)
+    chi = np.linspace(-3.0, 9.0, 13)
+    for _ in range(40):
+        config = ExperimentConfig(
+            max_rate=rng.uniform(1.0, 50.0), measure_time=1.0,
+            visibility=rng.uniform(0.0, 1.0), theta=rng.uniform(-7.0, 7.0),
+            dyn_offset=rng.uniform(-7.0, 7.0))
+        delta, gamma = rng.uniform(-7.0, 7.0, 2)
+        tol = 1e-13 * 2.0 * config.max_rate
+        spin = JointSetting(plus_x, spin_direction(delta))
+
+        gram = simulate_interferogram(config, delta, gamma, chi, exact=True)
+        want = [_oracle_rate(
+            config,
+            bell_state(gamma, config.theta, c, config.dyn_offset), spin,
+            bell_state(gamma, config.theta, c + math.pi, config.dyn_offset), spin)
+            for c in chi]
+        assert gram.counts == pytest.approx(want, rel=1e-13, abs=tol)
+
+        ref = reference_run(config, delta, chi, exact=True)
+        want = [_oracle_rate(
+            config, _flipper_off_state(c + config.dyn_offset), spin,
+            _flipper_off_state(c + math.pi + config.dyn_offset), spin)
+            for c in chi]
+        assert ref.counts == pytest.approx(want, rel=1e-13, abs=tol)
+
+        deltas = rng.uniform(-7.0, 7.0, 9)
+        state = bell_state(0.0, config.theta, 0.0)
+        for blocked, polar in (("II", 0.0), ("I", math.pi)):
+            scan = simulate_beam_block(config, deltas, gamma, blocked, exact=True)
+            want = [_oracle_rate(
+                config,
+                state, JointSetting(path_direction(polar), spin_direction(d)),
+                state, JointSetting(path_direction(polar),
+                                    spin_direction(d + math.pi)))
+                for d in deltas]
+            assert scan.counts == pytest.approx(want, rel=1e-13, abs=tol)
 
 
 @pytest.mark.parametrize("visibility", [1.0, 0.5])
