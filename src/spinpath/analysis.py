@@ -6,8 +6,8 @@ each fit, projections at the fringe extrema supply the +-x path counts,
 beam-block runs supply the +-z path counts, and the four resulting
 expectation values combine into S.  The polar scan rebuilds the
 S(beta1, beta1') surface from sinusoid fits of the analyzer-angle curves
-and maximizes it numerically; the azimuthal scan reads the compensating
-azimuth straight off the fitted fringe phase.
+and takes its exact maximum from two harmonics; the azimuthal scan reads
+the compensating azimuth straight off the fitted fringe phase.
 
 Reported S values use the raw fitted contrast, so a finite fringe
 visibility propagates into S (a contrast below 1/sqrt(2) suppresses any
@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chsh import maximize_2d
 from .experiment import (
     CountQuadruple,
     ExperimentConfig,
@@ -91,9 +90,6 @@ class SinusoidFit:
         g1 = np.array([1.0, math.cos(x1), math.sin(x1)])
         g2 = np.array([1.0, math.cos(x2), math.sin(x2)])
         return float(g1 @ self.covariance @ g2)
-
-    def model_variance(self, x: float) -> float:
-        return self.model_covariance(x, x)
 
     def phase_variance(self) -> float:
         """Delta-method variance of the fitted phase."""
@@ -417,16 +413,6 @@ def estimate_bell_s(config: ExperimentConfig, gamma: float,
                         phase_sigma=measurement.phase_sigma)
 
 
-def _curve_expectation(plus: SinusoidFit, minus: SinusoidFit, angle):
-    """Vectorized expectation from two fitted analyzer-angle curves,
-    evaluating each at the angle and its antipode."""
-    v_pp = plus.model(angle)
-    v_pm = plus.model(angle + math.pi)
-    v_mp = minus.model(angle)
-    v_mm = minus.model(angle + math.pi)
-    return (v_pp - v_pm - v_mp + v_mm) / (v_pp + v_pm + v_mp + v_mm)
-
-
 def _curve_expectation_sigma(plus: SinusoidFit, minus: SinusoidFit,
                              angle: float) -> tuple:
     anti = angle + math.pi
@@ -447,13 +433,63 @@ def default_gamma_grid() -> np.ndarray:
     return np.concatenate([first, second])
 
 
+def _harmonic_max(p: float, q: float) -> tuple:
+    """(b, value) maximizing p*cos(b) + q*sin(b) over b in [0, pi]: the
+    peak hypot(p, q) at atan2(q, p) when it lies inside (q > 0), otherwise
+    the larger endpoint."""
+    if q > 0.0:
+        return math.atan2(q, p), math.hypot(p, q)
+    return (0.0, p) if p >= 0.0 else (math.pi, -p)
+
+
+def _polar_curves(measurement: _BellMeasurement, deltas: np.ndarray) -> tuple:
+    """Sinusoid fits (z_plus, z_minus, x_plus, x_minus) of the four
+    analyzer-angle curves: the two beam-block curves and the fringe
+    projections at chi = 0 and pi, whose values are a +- b of each fringe
+    fit and whose variances are cov00 + cov11 +- 2 cov01."""
+    curves = []
+    for scan in (measurement.block_plus, measurement.block_minus):
+        counts = np.asarray(scan.counts, float)
+        curves.append(fit_sinusoid_xy(deltas, counts, np.maximum(counts, 1.0)))
+    abc = np.array([fit.abc() for fit in measurement.fits])
+    cov = np.array([fit.covariance for fit in measurement.fits])
+    var = cov[:, 0, 0] + cov[:, 1, 1]
+    for sign in (1.0, -1.0):
+        curves.append(fit_sinusoid_xy(
+            deltas, abc[:, 0] + sign * abc[:, 1],
+            np.maximum(var + sign * 2.0 * cov[:, 0, 1], 1e-12)))
+    return tuple(curves)
+
+
+def _polar_maximum(z_plus, z_minus, x_plus, x_minus) -> tuple:
+    """Exact maximum (beta1, beta1', S) of the fitted S surface on [0, pi]^2.
+
+    Reading a curve pair at b and at b + pi cancels the fitted means in the
+    numerator and the amplitudes in the denominator, so each expectation is
+    one harmonic, E(b) = ((b+ - b-) cos b + (c+ - c-) sin b) / (a+ + a-).
+    The surface is |U(b1) + V(b1')| with U = E_x + E_z and V = E_x - E_z,
+    and its maximum is the larger of max U + max V and -(min U + min V).
+    """
+    def harmonic(plus, minus):
+        (a_p, b_p, c_p), (a_m, b_m, c_m) = plus.abc(), minus.abc()
+        total = a_p + a_m
+        return (b_p - b_m) / total, (c_p - c_m) / total
+
+    (pz, qz), (px, qx) = harmonic(z_plus, z_minus), harmonic(x_plus, x_minus)
+    b1_hi, u_hi = _harmonic_max(px + pz, qx + qz)
+    b1p_hi, v_hi = _harmonic_max(px - pz, qx - qz)
+    b1_lo, u_lo = _harmonic_max(-px - pz, -qx - qz)
+    b1p_lo, v_lo = _harmonic_max(pz - px, qz - qx)
+    if u_hi + v_hi >= u_lo + v_lo:
+        return b1_hi, b1p_hi, u_hi + v_hi
+    return b1_lo, b1p_lo, u_lo + v_lo
+
+
 def run_polar_scan(config: ExperimentConfig, gamma_list, delta_grid=None,
                    chi_grid=None, exact: bool = False,
-                   normalize_contrast: bool = False,
-                   coarse_step: float = math.pi / 90.0,
-                   refine_tol: float = 1e-7) -> list:
+                   normalize_contrast: bool = False) -> list:
     """Polar-adjustment scan: for each gamma, rebuild the S(beta1, beta1')
-    surface from counting data and maximize it numerically.
+    surface from counting data and take its exact maximum.
 
     For every analyzer angle in delta_grid (which must cover [0, pi] at
     steps no coarser than pi/8) the scan simulates the two beam-block runs
@@ -461,8 +497,8 @@ def run_polar_scan(config: ExperimentConfig, gamma_list, delta_grid=None,
     resulting curves (two beam-block curves, and the fringe-extremum
     projections versus analyzer angle) are themselves sinusoids and are
     fitted as such; the fitted curves evaluated at any (beta1, beta1')
-    produce the S surface, whose maximum and maximizing angles are
-    returned per gamma.
+    produce the S surface, a sum of two harmonics whose maximum and
+    maximizing angles follow in closed form and are returned per gamma.
     """
     gamma_values = np.atleast_1d(np.asarray(gamma_list, dtype=float))
     if gamma_values.size == 0:
@@ -480,31 +516,8 @@ def run_polar_scan(config: ExperimentConfig, gamma_list, delta_grid=None,
     for ig, gamma in enumerate(gamma_values):
         measurement = _BellMeasurement(config, gamma, deltas, chi_grid, exact,
                                        normalize_contrast, base_stream=ig)
-        counts_plus = np.asarray(measurement.block_plus.counts, float)
-        counts_minus = np.asarray(measurement.block_minus.counts, float)
-        z_plus = fit_sinusoid_xy(deltas, counts_plus, np.maximum(counts_plus, 1.0))
-        z_minus = fit_sinusoid_xy(deltas, counts_minus,
-                                  np.maximum(counts_minus, 1.0))
-
-        proj_0, proj_pi, var_0, var_pi = [], [], [], []
-        for fit in measurement.fits:
-            i0, ipi = projections_from_fit(fit)
-            proj_0.append(i0)
-            proj_pi.append(ipi)
-            var_0.append(max(fit.model_variance(0.0), 1e-12))
-            var_pi.append(max(fit.model_variance(math.pi), 1e-12))
-
-        x_plus = fit_sinusoid_xy(deltas, np.array(proj_0), np.array(var_0))
-        x_minus = fit_sinusoid_xy(deltas, np.array(proj_pi), np.array(var_pi))
-
-        def surface(b1, b1p):
-            return np.abs(_curve_expectation(z_plus, z_minus, b1)
-                          - _curve_expectation(z_plus, z_minus, b1p)
-                          + _curve_expectation(x_plus, x_minus, b1)
-                          + _curve_expectation(x_plus, x_minus, b1p))
-
-        beta1, beta1_p, s_max = maximize_2d(surface, 0.0, math.pi, 0.0,
-                                            math.pi, coarse_step, refine_tol)
+        z_plus, z_minus, x_plus, x_minus = _polar_curves(measurement, deltas)
+        beta1, beta1_p, s_max = _polar_maximum(z_plus, z_minus, x_plus, x_minus)
         _, sig1 = _curve_expectation_sigma(z_plus, z_minus, beta1)
         _, sig2 = _curve_expectation_sigma(z_plus, z_minus, beta1_p)
         _, sig3 = _curve_expectation_sigma(x_plus, x_minus, beta1)

@@ -102,10 +102,12 @@ def _s_polar_inner(alpha1_p, beta1, beta1_p, gamma):
     )
 
 
-def s_polar(alpha1_p: float, beta1: float, beta1_p: float, gamma: float) -> float:
+def s_polar(alpha1_p, beta1, beta1_p, gamma):
     """Closed-form S with all azimuthal angles fixed at zero (alpha1 = 0),
-    as a function of the three free polar angles."""
-    return float(np.abs(_s_polar_inner(alpha1_p, beta1, beta1_p, gamma)))
+    as a function of the three free polar angles.  The angles broadcast:
+    scalar inputs give a float, array inputs an array."""
+    s = np.abs(_s_polar_inner(alpha1_p, beta1, beta1_p, gamma))
+    return float(s) if np.ndim(s) == 0 else s
 
 
 def polar_optimal_angles(gamma: float) -> tuple:

@@ -163,11 +163,11 @@ def _run_surface(scenario: Scenario, out: Path) -> dict:
     if step <= 0:
         raise ValueError("step must be positive")
     grid = np.arange(-math.pi, math.pi, step)
-    rows = []
-    for b1 in grid:
-        for b1p in grid:
-            rows.append([repr(float(b1)), repr(float(b1p)),
-                         repr(s_polar(math.pi / 2.0, b1, b1p, gamma))])
+    surface = s_polar(math.pi / 2.0, grid[:, None], grid[None, :], gamma)
+    labels = [repr(b) for b in grid.tolist()]
+    rows = [[labels[i], labels[j], repr(s)]
+            for i, row in enumerate(surface.tolist())
+            for j, s in enumerate(row)]
     _write_csv(out / "surface.csv", "beta1_rad,beta1p_rad,s", rows)
     beta1, beta1_p, s_max = grid_maximize_s(gamma)
     record = SValueRecord(gamma=gamma, s=s_max, method="grid")

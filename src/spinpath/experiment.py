@@ -63,6 +63,8 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be finite, got {value!r}")
         if self.max_rate <= 0.0:
             raise ValueError(f"max_rate must be positive, got {self.max_rate!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed!r}")
         if self.measure_time <= 0.0:
             raise ValueError(
                 f"measure_time must be positive, got {self.measure_time!r}"
@@ -216,26 +218,6 @@ def detection_rate(config: ExperimentConfig, chi: float, delta: float,
     return float(rate_grid(config, delta, chi + config.dyn_offset + gamma))
 
 
-def beam_block_rate(config: ExperimentConfig, delta: float, gamma: float,
-                    blocked_path: str) -> float:
-    """Expected rate with one beam stopped and the spin analyzed at delta.
-
-    With a single surviving branch the overall branch phase (chi, gamma,
-    dynamical offsets) is unobservable, so the curve depends on theta only.
-    Blocking II measures path +z (beam I, spin up); blocking I measures
-    path -z.
-    """
-    return float(rate_grid(config, delta, 0.0, _block_polar(blocked_path),
-                           scan="delta"))
-
-
-def reference_rate(config: ExperimentConfig, chi: float, delta: float) -> float:
-    """Expected rate with the interferometer flipper switched off; fringes
-    follow 1 + V cos(chi + dyn_offset) regardless of gamma."""
-    return float(rate_grid(config, delta, chi + config.dyn_offset,
-                           flipper_on=False))
-
-
 def _block_polar(blocked_path: str) -> float:
     """Path polar angle measured with the other beam stopped."""
     if blocked_path not in ("I", "II"):
@@ -252,12 +234,14 @@ def _chi_values(chi_grid) -> np.ndarray:
 
 def _draw_counts(config: ExperimentConfig, rates: np.ndarray, rng, kind: int,
                  stream, exact: bool) -> np.ndarray:
-    """Expected counts (exact mode) or one Poisson draw per point, from the
-    run's own stream (seed, kind, *stream) unless an rng is passed."""
+    """Expected counts (exact mode, no stream built) or one Poisson draw per
+    point, from the stream (seed, kind, *stream) unless an rng is passed."""
+    expected = rates * config.measure_time
+    if exact:
+        return expected
     if rng is None:
         rng = stream_rng(config.seed, kind, *_stream_key(stream))
-    expected = rates * config.measure_time
-    return expected if exact else rng.poisson(expected)
+    return rng.poisson(expected)
 
 
 def simulate_interferogram(config: ExperimentConfig, delta: float, gamma: float,

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import spinpath.analysis as analysis
+import spinpath.chsh as chsh
 from conftest import polar_angle_deviation
 from spinpath.analysis import (
     FitError,
@@ -22,7 +24,7 @@ from spinpath.analysis import (
     run_polar_scan,
     write_scan_results,
 )
-from spinpath.chsh import s_polar_max
+from spinpath.chsh import maximize_2d, s_polar_max
 from spinpath.experiment import (
     ExperimentConfig,
     Interferogram,
@@ -264,6 +266,135 @@ def test_flip_imperfection_degrades_s():
         values.append(estimate_bell_s(config, 0.0, exact=True).s)
     assert values[0] == pytest.approx(TSIRELSON, abs=1e-9)
     assert values[0] > values[1] > values[2]
+
+
+# ---------------------------------------------------------------------------
+# exact maximum of the polar S surface
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("p,q", [
+    (0.3, 0.8), (-0.6, 0.2),      # q > 0: interior peak
+    (0.5, -0.4), (0.7, 0.0),      # q <= 0, p >= 0: endpoint 0
+    (-0.5, -0.3), (-0.9, 0.0),    # q <= 0, p < 0: endpoint pi
+])
+def test_harmonic_max_on_zero_to_pi(p, q):
+    grid = np.linspace(0.0, math.pi, 200001)
+    values = p * np.cos(grid) + q * np.sin(grid)
+    b, value = analysis._harmonic_max(p, q)
+    assert 0.0 <= b <= math.pi
+    assert value == pytest.approx(p * math.cos(b) + q * math.sin(b), abs=1e-15)
+    assert value == pytest.approx(values.max(), abs=1e-9)
+    assert value >= values.max() - 1e-15
+    assert b == pytest.approx(grid[np.argmax(values)], abs=1e-5)
+
+
+def _polar_fits(seed, index, gamma):
+    """The four fitted analyzer-angle curves run_polar_scan builds at
+    position index of its gamma list."""
+    deltas = default_polar_delta_grid()
+    measurement = analysis._BellMeasurement(
+        ExperimentConfig(seed=seed), gamma, deltas, base_stream=index)
+    return analysis._polar_curves(measurement, deltas)
+
+
+def _fitted_expectations(z_plus, z_minus, x_plus, x_minus):
+    """E_z and E_x read off the fitted models, each curve pair at an angle
+    and at its antipode."""
+    def pair(plus, minus):
+        def expectation(b):
+            v_pp, v_pm = plus.model(b), plus.model(b + math.pi)
+            v_mp, v_mm = minus.model(b), minus.model(b + math.pi)
+            return (v_pp - v_pm - v_mp + v_mm) / (v_pp + v_pm + v_mp + v_mm)
+        return expectation
+    return pair(z_plus, z_minus), pair(x_plus, x_minus)
+
+
+def _fitted_surface(*curves):
+    """The polar S surface |E_z(b1) - E_z(b1') + E_x(b1) + E_x(b1')|."""
+    e_z, e_x = _fitted_expectations(*curves)
+
+    def surface(b1, b1p):
+        return np.abs(e_z(b1) - e_z(b1p) + e_x(b1) + e_x(b1p))
+    return surface
+
+
+def _grid_search(surface):
+    """The coarse-grid plus bisection search the polar scan once ran."""
+    return maximize_2d(surface, 0.0, math.pi, 0.0, math.pi, math.pi / 90.0,
+                       1e-7)
+
+
+def test_polar_maximum_against_grid_search_and_brute_force():
+    # 50 seeds x the default 11-phase grid, Poisson mode
+    brute = np.linspace(0.0, math.pi, 721)
+    trapped = 0
+    for seed in range(50):
+        for index, gamma in enumerate(default_gamma_grid()):
+            curves = _polar_fits(seed, index, gamma)
+            surface = _fitted_surface(*curves)
+            beta1, beta1_p, s = analysis._polar_maximum(*curves)
+            assert s == pytest.approx(float(surface(beta1, beta1_p)), abs=1e-14)
+            # the pi/720 grid: the largest |U(b1) + V(b1')| over the
+            # 721 x 721 product grid is max(max U + max V, -(min U + min V))
+            e_z, e_x = _fitted_expectations(*curves)
+            u, v = e_x(brute) + e_z(brute), e_x(brute) - e_z(brute)
+            assert s >= max(u.max() + v.max(), -(u.min() + v.min())) - 1e-9
+            g1, g2, s_grid = _grid_search(surface)
+            assert s >= s_grid - 1e-14
+            distance = max(abs(beta1 - g1), abs(beta1_p - g2))
+            if distance < 1e-3:
+                assert distance <= 1e-7
+            else:
+                trapped += 1
+    # the grid search stops in the wrong basin at some points near
+    # cos(gamma) = 0, which the closed form does not
+    assert trapped > 0
+
+
+def test_polar_scan_escapes_grid_search_trap():
+    # seed 0 at gamma = pi/2 (index 3 of the default grid): the grid search
+    # stopped at 2.0000051 on a fitted surface whose maximum is 2.0000347
+    gammas = default_gamma_grid()
+    result = run_polar_scan(ExperimentConfig(seed=0), gammas)[3]
+    curves = _polar_fits(0, 3, gammas[3])
+    surface = _fitted_surface(*curves)
+    _, _, s_grid = _grid_search(surface)
+    assert s_grid == pytest.approx(2.0000051, abs=1e-7)
+    brute = np.linspace(0.0, math.pi, 721)
+    assert result.s >= surface(brute[:, None], brute[None, :]).max() - 1e-9
+    assert result.s == pytest.approx(2.0000347, abs=1e-7)
+    assert (result.beta1, result.beta1_p, result.s) == \
+        analysis._polar_maximum(*curves)
+
+
+def test_polar_scan_runs_no_grid_search(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("run_polar_scan called maximize_2d")
+
+    monkeypatch.setattr(chsh, "maximize_2d", forbidden)
+    monkeypatch.setattr(analysis, "maximize_2d", forbidden, raising=False)
+    gammas = default_gamma_grid()
+    assert len(run_polar_scan(ExperimentConfig(seed=1), gammas)) == gammas.size
+    assert len(run_polar_scan(ExperimentConfig(), gammas, exact=True)) == \
+        gammas.size
+
+
+def test_polar_projection_curves_match_fit_models():
+    # x curves are fitted to the fringe models at chi = 0 and pi, weighted by
+    # the model variances there
+    deltas = default_polar_delta_grid()
+    measurement = analysis._BellMeasurement(ExperimentConfig(seed=3), 0.7,
+                                            deltas)
+    _, _, x_plus, x_minus = analysis._polar_curves(measurement, deltas)
+    for chi, curve in ((0.0, x_plus), (math.pi, x_minus)):
+        values = [float(fit.model(chi)) for fit in measurement.fits]
+        variances = [fit.model_covariance(chi, chi) for fit in measurement.fits]
+        want = fit_sinusoid_xy(deltas, np.array(values), np.array(variances))
+        abc = np.array(want.abc())
+        assert np.max(np.abs(np.array(curve.abc()) - abc)) <= \
+            1e-13 * np.max(np.abs(abc))
+        assert np.max(np.abs(curve.covariance - want.covariance)) <= \
+            1e-13 * np.max(np.abs(want.covariance))
 
 
 # ---------------------------------------------------------------------------

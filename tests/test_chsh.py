@@ -74,6 +74,16 @@ def test_s_polar_examples(alpha1_p, beta1, beta1_p, gamma, expected):
     assert s_polar(alpha1_p, beta1, beta1_p, gamma) == pytest.approx(expected, abs=1e-12)
 
 
+def test_s_polar_broadcasts():
+    grid = np.linspace(-math.pi, math.pi, 13)
+    surface = s_polar(1.1, grid[:, None], grid[None, :], 0.7)
+    assert surface.shape == (13, 13)
+    for i, b1 in enumerate(grid):
+        for j, b1p in enumerate(grid):
+            assert surface[i, j] == s_polar(1.1, b1, b1p, 0.7)
+    assert type(s_polar(1.1, 0.2, 0.3, 0.7)) is float
+
+
 def test_s_polar_matches_s_general():
     rng = np.random.default_rng(2)
     for _ in range(2000):

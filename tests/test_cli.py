@@ -5,7 +5,7 @@ import pytest
 
 from spinpath.cli import main, parse_angle, parse_angle_list
 from spinpath.analysis import read_scan_results
-from spinpath.chsh import s_polar_max
+from spinpath.chsh import s_polar, s_polar_max
 from spinpath.experiment import parse_kv, read_beam_block, read_interferogram
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
@@ -68,6 +68,21 @@ def test_surface_run(tmp_path):
     assert s_max_cell == pytest.approx(2.0, abs=0.01)
     manifest = parse_kv((out / "manifest.txt").read_text(encoding="utf-8"))
     assert manifest["s_max"] == pytest.approx(2.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("gamma", ["90 deg", "1.1"])
+def test_surface_csv_matches_per_point_loop(tmp_path, gamma):
+    out = tmp_path / "surface"
+    assert main(["surface", "--gamma", gamma, "--out", str(out)]) == 0
+    g = parse_angle(gamma)
+    grid = np.arange(-math.pi, math.pi, math.pi / 90.0)
+    lines = ["beta1_rad,beta1p_rad,s"]
+    for b1 in grid:
+        for b1p in grid:
+            s = s_polar(math.pi / 2.0, b1, b1p, g)
+            lines.append(f"{float(b1)!r},{float(b1p)!r},{s!r}")
+    want = ("\n".join(lines) + "\n").encode("utf-8")
+    assert (out / "surface.csv").read_bytes() == want
 
 
 # ---------------------------------------------------------------------------

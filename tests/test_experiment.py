@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import spinpath.experiment as experiment
+from spinpath.analysis import estimate_bell_s, run_azimuthal_scan, run_polar_scan
 from spinpath.experiment import (
     BeamBlockScan,
     CountQuadruple,
@@ -45,6 +47,7 @@ TSIRELSON = 2.0 * math.sqrt(2.0)
     ({"measure_time": -1.0}, "measure_time"),
     ({"visibility": 1.2}, "visibility"),
     ({"visibility": -0.1}, "visibility"),
+    ({"seed": -1}, "seed"),
 ])
 def test_config_validation_names_field(kwargs, field):
     with pytest.raises(ValueError, match=field):
@@ -70,6 +73,30 @@ def test_stream_rng_keeps_streams_of_64_bit_seeds(seed):
     want = np.random.default_rng(np.random.SeedSequence([seed, 2, 7, 1]))
     got = stream_rng(seed, 2, 7, 1)
     assert np.array_equal(got.integers(0, 2 ** 62, 8), want.integers(0, 2 ** 62, 8))
+
+
+def test_exact_mode_builds_no_stream(monkeypatch):
+    config = ExperimentConfig(seed=4)
+    want = simulate_interferogram(config, 0.3, 0.2, stream=(2, 5), exact=True)
+    # Poisson counts are the draws of the run's own stream (seed, kind, *key)
+    drawn = stream_rng(4, experiment.STREAM_INTERFEROGRAM, 2, 5).poisson(
+        want.counts)
+    assert np.array_equal(
+        simulate_interferogram(config, 0.3, 0.2, stream=(2, 5)).counts, drawn)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("stream_rng called")
+
+    monkeypatch.setattr(experiment, "stream_rng", forbidden)
+    gram = simulate_interferogram(config, 0.3, 0.2, stream=(2, 5), exact=True)
+    assert np.array_equal(gram.counts, want.counts)
+    simulate_beam_block(config, [0.0, 1.0, 2.0], 0.2, "I", exact=True)
+    reference_run(config, 0.3, exact=True)
+    estimate_bell_s(config, 0.2, exact=True)
+    run_polar_scan(config, [0.0, 1.0], exact=True)
+    run_azimuthal_scan(config, [0.0, 1.0], exact=True)
+    with pytest.raises(AssertionError, match="stream_rng"):
+        simulate_interferogram(config, 0.3, 0.2)
 
 
 def test_stream_rng_rejects_negative_seed():
