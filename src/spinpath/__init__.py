@@ -17,24 +17,19 @@ from .quantum import (
     joint_probability,
     path_direction,
     spin_direction,
-    subspace_projector,
 )
 from .flippers import (
     CODATA2018,
-    FlipperSetting,
     PhysicalConstants,
     entangled_state_via_flippers,
     flipper_unitary,
     geometric_phase,
     resonance_parameters,
-    solid_angle,
 )
 from .chsh import (
     BellAngleSet,
-    SValueRecord,
     TSIRELSON,
     azimuthal_optimal_angle,
-    grid_maximize_s,
     polar_optimal_angles,
     s_azimuthal,
     s_general,
@@ -44,11 +39,9 @@ from .chsh import (
 )
 from .experiment import (
     BeamBlockScan,
-    CountQuadruple,
     ExperimentConfig,
     Interferogram,
     counts_to_expectation,
-    detection_rate,
     read_beam_block,
     read_interferogram,
     reference_run,
@@ -67,7 +60,6 @@ from .analysis import (
     estimate_bell_s,
     fit_sinusoid,
     normalize_by_reference,
-    projections_from_fit,
     read_scan_results,
     run_azimuthal_scan,
     run_polar_scan,
@@ -81,10 +73,8 @@ __all__ = [
     "BellAngleSet",
     "BellEstimate",
     "CODATA2018",
-    "CountQuadruple",
     "ExperimentConfig",
     "FitError",
-    "FlipperSetting",
     "Interferogram",
     "JointSetting",
     "MeasurementDirection",
@@ -92,25 +82,21 @@ __all__ = [
     "PhysicalConstants",
     "PureState",
     "ScanResult",
-    "SValueRecord",
     "SinusoidFit",
     "TSIRELSON",
     "azimuthal_optimal_angle",
     "bell_state",
     "counts_to_expectation",
-    "detection_rate",
     "entangled_state_via_flippers",
     "estimate_bell_s",
     "expectation",
     "fit_sinusoid",
     "flipper_unitary",
     "geometric_phase",
-    "grid_maximize_s",
     "joint_probability",
     "normalize_by_reference",
     "path_direction",
     "polar_optimal_angles",
-    "projections_from_fit",
     "read_beam_block",
     "read_interferogram",
     "read_scan_results",
@@ -125,10 +111,8 @@ __all__ = [
     "s_polar_max",
     "simulate_beam_block",
     "simulate_interferogram",
-    "solid_angle",
     "spin_direction",
     "standard_angles",
-    "subspace_projector",
     "write_beam_block",
     "write_interferogram",
     "write_scan_results",

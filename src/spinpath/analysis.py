@@ -11,8 +11,9 @@ the compensating azimuth straight off the fitted fringe phase.
 
 Reported S values use the raw fitted contrast, so a finite fringe
 visibility propagates into S (a contrast below 1/sqrt(2) suppresses any
-inequality violation).  Pass normalize_contrast=True to divide out the
-reference contrast instead, which restores the ideal S at any visibility.
+inequality violation).  Pass normalize_contrast=True to divide the fringe
+contrast by the flipper-off reference contrast instead; beam-block runs have
+no fringes, so only the interference-based terms are restored.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .experiment import (
-    CountQuadruple,
     ExperimentConfig,
     Interferogram,
     counts_to_expectation,
@@ -248,12 +248,6 @@ def normalize_by_reference(fit: SinusoidFit, ref: SinusoidFit) -> SinusoidFit:
     return _transform_fit(fit, scale, ref.phase, over)
 
 
-def projections_from_fit(fit: SinusoidFit) -> tuple:
-    """Model intensities at the fringe coordinates 0 and pi, feeding the
-    +-x path-projection count quadruples."""
-    return float(fit.model(0.0)), float(fit.model(math.pi))
-
-
 @dataclass(frozen=True)
 class ScanResult:
     """S estimate at one geometric phase, with the adjusted angles used."""
@@ -283,17 +277,6 @@ def _expectation_from_slots(slots) -> tuple:
             if fit_i is fit_j:
                 cov[i, j] = fit_i.model_covariance(x_i, x_j)
     return expectation_from_values(values, cov)
-
-
-def _expectation_from_counts(values) -> tuple:
-    """Expectation from four counts; integer draws go through the Poisson
-    quadruple estimator, exact-mode floats through direct propagation."""
-    arr = np.asarray(values)
-    if np.issubdtype(arr.dtype, np.integer):
-        quadruple = CountQuadruple(*(int(v) for v in arr))
-        return counts_to_expectation(quadruple)
-    arr = arr.astype(float)
-    return expectation_from_values(arr, np.diag(np.maximum(arr, 1.0)))
 
 
 class _BellMeasurement:
@@ -347,7 +330,7 @@ class _BellMeasurement:
             self.block_plus.counts[lo], self.block_plus.counts[lo + 1],
             self.block_minus.counts[lo], self.block_minus.counts[lo + 1],
         ]
-        return _expectation_from_counts(values)
+        return counts_to_expectation(values)
 
     def expectation_x(self, which: int, alpha2p: float) -> tuple:
         """Path +-x expectation at azimuth alpha2p for spin angle index

@@ -23,7 +23,6 @@ from .quantum import (
     expectation,
     path_direction,
     spin_direction,
-    wrap_pi,
 )
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
@@ -59,26 +58,6 @@ def standard_angles(alpha2_p: float = 0.0) -> BellAngleSet:
         beta=spin_direction(math.pi / 4.0),
         beta_p=spin_direction(3.0 * math.pi / 4.0),
     )
-
-
-@dataclass(frozen=True)
-class SValueRecord:
-    """One S evaluation with its provenance."""
-
-    gamma: float
-    s: float
-    angles: BellAngleSet | None = None
-    method: str = "analytic"
-
-    def __post_init__(self):
-        if self.method not in ("analytic", "grid", "counts"):
-            raise ValueError(f"unknown method tag {self.method!r}")
-        if self.s < 0.0:
-            raise ValueError("s must be nonnegative")
-        # Exact quantum values obey the Tsirelson bound; counting estimates
-        # may fluctuate above it and are exempt.
-        if self.method in ("analytic", "grid") and self.s > TSIRELSON + 1e-9:
-            raise ValueError(f"s = {self.s!r} exceeds the quantum bound 2*sqrt(2)")
 
 
 def s_general(angles: BellAngleSet, gamma: float) -> float:
@@ -150,58 +129,3 @@ def azimuthal_optimal_angle(gamma: float) -> float:
     """Azimuth alpha2' = gamma reduced mod pi to [0, pi), for beta2 = beta2'
     = 0; restores S = 2*sqrt(2) at any geometric phase."""
     return float(gamma) % math.pi
-
-
-def maximize_2d(objective, lo1, hi1, lo2, hi2, coarse_step, refine_tol):
-    """Maximize a smooth scalar field over a rectangle.
-
-    objective(b1, b1p) must accept broadcasting numpy arrays.  A coarse scan
-    at spacing coarse_step locates the best cell (ties resolve to the
-    lexicographically smallest point, row-major argmax); repeated local grid
-    bisection then shrinks the window until its half-width drops below
-    refine_tol.  Returns (x1, x2, value).
-    """
-    n1 = max(int(math.ceil((hi1 - lo1) / coarse_step)) + 1, 2)
-    n2 = max(int(math.ceil((hi2 - lo2) / coarse_step)) + 1, 2)
-    g1 = np.linspace(lo1, hi1, n1)
-    g2 = np.linspace(lo2, hi2, n2)
-    values = objective(g1[:, None], g2[None, :])
-    i, j = np.unravel_index(np.argmax(values), values.shape)
-    x1, x2 = float(g1[i]), float(g2[j])
-
-    half = max((hi1 - lo1) / (n1 - 1), (hi2 - lo2) / (n2 - 1))
-    offsets = np.linspace(-1.0, 1.0, 9)
-    while half > refine_tol:
-        l1 = np.clip(x1 + half * offsets, lo1, hi1)
-        l2 = np.clip(x2 + half * offsets, lo2, hi2)
-        local = objective(l1[:, None], l2[None, :])
-        i, j = np.unravel_index(np.argmax(local), local.shape)
-        x1, x2 = float(l1[i]), float(l2[j])
-        half *= 0.5
-    return x1, x2, float(objective(x1, x2))
-
-
-def grid_maximize_s(gamma: float, coarse_step: float = math.pi / 180.0,
-                    refine_tol: float = 1e-7) -> tuple:
-    """Numerical maximum of s_polar over (beta1, beta1') in [-pi, pi)^2 at
-    fixed alpha1' = pi/2.
-
-    Coarse grid scan followed by local grid bisection; deterministic for
-    fixed inputs regardless of evaluation order.  Returns
-    (beta1, beta1_p, s); the angles agree with polar_optimal_angles(gamma)
-    up to the simultaneous pi shift of both betas (and the wrap to
-    [-pi, pi)).
-    """
-    if coarse_step > math.pi / 64.0:
-        raise ValueError("coarse_step must be at most pi/64")
-    if refine_tol > 1e-6:
-        raise ValueError("refine_tol must be at most 1e-6")
-
-    def objective(b1, b1p):
-        return np.abs(_s_polar_inner(math.pi / 2.0, b1, b1p, gamma))
-
-    b1, b1p, _ = maximize_2d(
-        objective, -math.pi, math.pi, -math.pi, math.pi, coarse_step, refine_tol
-    )
-    b1, b1p = wrap_pi(b1), wrap_pi(b1p)
-    return b1, b1p, s_polar(math.pi / 2.0, b1, b1p, gamma)

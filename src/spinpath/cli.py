@@ -25,9 +25,8 @@ from .analysis import (
     write_scan_results,
 )
 from .chsh import (
-    SValueRecord,
     TSIRELSON,
-    grid_maximize_s,
+    polar_optimal_angles,
     s_general,
     s_polar,
     s_polar_max,
@@ -98,9 +97,17 @@ def _require(parameters: dict, field: str):
     return parameters[field]
 
 
+def _finite(field: str, value: float) -> float:
+    """The value, or a ValueError naming the field when it is NaN or inf."""
+    if not math.isfinite(value):
+        raise ValueError(f"{field} must be finite, got {value!r}")
+    return value
+
+
 def _resolve_gamma_list(parameters: dict) -> list:
     if parameters.get("gamma_list") is not None:
-        gammas = parse_angle_list(parameters["gamma_list"])
+        gammas = [_finite("gamma_list", g)
+                  for g in parse_angle_list(parameters["gamma_list"])]
     elif parameters.get("gamma_points") is not None:
         n = int(parameters["gamma_points"])
         if n <= 0:
@@ -118,6 +125,14 @@ def _get(parameters: dict, field: str, default):
     zero or empty value is kept for validation, never replaced."""
     value = parameters.get(field)
     return default if value is None else value
+
+
+def _angle(parameters: dict, field: str, default=None) -> float:
+    """The field parsed as a finite angle; an absent field takes the
+    default, or is reported missing when there is none."""
+    text = (_require(parameters, field) if default is None
+            else _get(parameters, field, default))
+    return _finite(field, parse_angle(text))
 
 
 def _count(parameters: dict, field: str, default: int, minimum: int = 1) -> int:
@@ -143,12 +158,9 @@ def _run_analytic(scenario: Scenario, out: Path) -> dict:
     gammas = _resolve_gamma_list(scenario.parameters)
     rows = []
     for gamma in gammas:
-        record = SValueRecord(gamma=float(gamma),
-                              s=s_general(standard_angles(), gamma),
-                              angles=standard_angles(), method="analytic")
         rows.append([
-            repr(record.gamma),
-            repr(record.s),
+            repr(float(gamma)),
+            repr(s_general(standard_angles(), gamma)),
             repr(s_polar_max(gamma)),
             repr(TSIRELSON),
         ])
@@ -158,8 +170,8 @@ def _run_analytic(scenario: Scenario, out: Path) -> dict:
 
 
 def _run_surface(scenario: Scenario, out: Path) -> dict:
-    gamma = parse_angle(_require(scenario.parameters, "gamma"))
-    step = parse_angle(_get(scenario.parameters, "step", math.pi / 90.0))
+    gamma = _angle(scenario.parameters, "gamma")
+    step = _angle(scenario.parameters, "step", math.pi / 90.0)
     if step <= 0:
         raise ValueError("step must be positive")
     grid = np.arange(-math.pi, math.pi, step)
@@ -169,28 +181,27 @@ def _run_surface(scenario: Scenario, out: Path) -> dict:
             for i, row in enumerate(surface.tolist())
             for j, s in enumerate(row)]
     _write_csv(out / "surface.csv", "beta1_rad,beta1p_rad,s", rows)
-    beta1, beta1_p, s_max = grid_maximize_s(gamma)
-    record = SValueRecord(gamma=gamma, s=s_max, method="grid")
+    beta1, beta1_p, _ = polar_optimal_angles(gamma)
     return {
         "gamma": gamma, "step": step,
-        "beta1_max": beta1, "beta1p_max": beta1_p, "s_max": record.s,
+        "beta1_max": beta1, "beta1p_max": beta1_p, "s_max": s_polar_max(gamma),
     }
 
 
 def _run_simulate(scenario: Scenario, out: Path) -> dict:
     p = scenario.parameters
-    delta = parse_angle(_require(p, "delta"))
+    delta = _angle(p, "delta")
     flipper_on = p.get("flipper_on")
     flipper_on = True if flipper_on is None else bool(flipper_on)
     points, periods = _chi_size(p)
     chi = default_chi_grid(points, periods)
     exact = bool(p.get("exact") or False)
     if flipper_on:
-        gamma = parse_angle(_require(p, "gamma"))
+        gamma = _angle(p, "gamma")
         gram = simulate_interferogram(scenario.config, delta, gamma,
                                       chi_grid=chi, exact=exact)
     else:
-        gamma = parse_angle(p.get("gamma") or 0.0)
+        gamma = _angle(p, "gamma", 0.0)
         gram = reference_run(scenario.config, delta, chi_grid=chi, exact=exact)
     write_interferogram(gram, out / "interferogram.csv", scenario.config)
     return {
@@ -202,7 +213,7 @@ def _run_simulate(scenario: Scenario, out: Path) -> dict:
 def _run_beam_block(scenario: Scenario, out: Path) -> dict:
     p = scenario.parameters
     blocked = str(_require(p, "blocked_path"))
-    gamma = parse_angle(p.get("gamma") or 0.0)
+    gamma = _angle(p, "gamma", 0.0)
     points = _count(p, "delta_points", 17, minimum=2)
     exact = bool(p.get("exact") or False)
     deltas = np.linspace(0.0, TWO_PI, points)
@@ -218,7 +229,7 @@ def _run_beam_block(scenario: Scenario, out: Path) -> dict:
 def _run_polar_scan(scenario: Scenario, out: Path) -> dict:
     p = scenario.parameters
     gammas = _resolve_gamma_list(p)
-    delta_step = parse_angle(_get(p, "delta_step", math.pi / 8.0))
+    delta_step = _angle(p, "delta_step", math.pi / 8.0)
     if delta_step <= 0 or delta_step > math.pi / 8.0 + 1e-12:
         raise ValueError("delta_step must be positive and at most pi/8")
     n = int(round(math.pi / delta_step)) + 1

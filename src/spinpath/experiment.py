@@ -120,26 +120,6 @@ class BeamBlockScan:
         object.__setattr__(self, "counts", counts)
 
 
-@dataclass(frozen=True)
-class CountQuadruple:
-    """Counts (N++, N+-, N-+, N--) for one joint setting."""
-
-    n_pp: int
-    n_pm: int
-    n_mp: int
-    n_mm: int
-    setting: object = None
-
-    def __post_init__(self):
-        for name in ("n_pp", "n_pm", "n_mp", "n_mm"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
-
-    @property
-    def total(self) -> int:
-        return self.n_pp + self.n_pm + self.n_mp + self.n_mm
-
-
 def stream_rng(seed: int, *key: int) -> np.random.Generator:
     """Independent PCG64 generator for stream (seed, *key).
 
@@ -210,14 +190,6 @@ def rate_grid(config: ExperimentConfig, delta, phase,
     return 2.0 * config.max_rate * (mean + config.visibility * (p - mean))
 
 
-def detection_rate(config: ExperimentConfig, chi: float, delta: float,
-                   gamma: float) -> float:
-    """Expected O-beam rate at phase-shifter position chi, analyzer angle
-    delta and geometric phase gamma: path +x, branch phase chi + dyn_offset
-    + gamma, blended over chi."""
-    return float(rate_grid(config, delta, chi + config.dyn_offset + gamma))
-
-
 def _block_polar(blocked_path: str) -> float:
     """Path polar angle measured with the other beam stopped."""
     if blocked_path not in ("I", "II"):
@@ -249,9 +221,10 @@ def simulate_interferogram(config: ExperimentConfig, delta: float, gamma: float,
                            exact: bool = False) -> Interferogram:
     """Simulate one phase-shifter scan.
 
-    counts[i] ~ Poisson(detection_rate * measure_time); with exact=True the
-    expected counts are returned unsampled (floats), which is the
-    infinite-statistics mode used by the analysis pipeline checks.
+    counts[i] ~ Poisson(rate * measure_time) with the rate from rate_grid;
+    with exact=True the expected counts are returned unsampled (floats),
+    which is the infinite-statistics mode used by the analysis pipeline
+    checks.
     """
     chi = _chi_values(chi_grid)
     rates = rate_grid(config, delta, chi + config.dyn_offset + gamma)
@@ -305,19 +278,18 @@ def expectation_from_values(values, cov) -> tuple:
     return e, math.sqrt(max(var, 0.0))
 
 
-def counts_to_expectation(quadruple: CountQuadruple) -> tuple:
-    """E = (N++ - N+- - N-+ + N--) / N_total with Poisson error propagation.
+def counts_to_expectation(values) -> tuple:
+    """E = (N++ - N+- - N-+ + N--) / N_total with Poisson error propagation,
+    from four counts ordered (N++, N+-, N-+, N--), integer draws or
+    exact-mode floats.
 
     Zero observed counts contribute unit variance (the same floor the
     fringe fits use for Poisson weights).
     """
-    if quadruple.total <= 0:
-        raise EstimationError("count quadruple is empty; nothing to estimate")
-    values = np.array(
-        [quadruple.n_pp, quadruple.n_pm, quadruple.n_mp, quadruple.n_mm],
-        dtype=float,
-    )
-    return expectation_from_values(values, np.diag(np.maximum(values, 1.0)))
+    counts = np.asarray(values, dtype=float)
+    if np.any(counts < 0.0):
+        raise EstimationError("counts must be nonnegative")
+    return expectation_from_values(counts, np.diag(np.maximum(counts, 1.0)))
 
 
 def s_from_expectations(e1: float, e2: float, e3: float, e4: float,

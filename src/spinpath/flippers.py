@@ -17,9 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quantum import TWO_PI, PureState, wrap_two_pi
-
-FOUR_PI = 4.0 * math.pi
+from .quantum import PureState
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -35,22 +33,6 @@ class PhysicalConstants:
 CODATA2018 = PhysicalConstants()
 
 
-@dataclass(frozen=True)
-class FlipperSetting:
-    """Operating point of one rf flipper.
-
-    frequency (omega, rad/s) and exposure_time (tau, s) are only required
-    to be positive when the resonance field strengths are evaluated.
-    """
-
-    phi: float
-    frequency: float = 0.0
-    exposure_time: float = 0.0
-
-    def resonance(self, constants: PhysicalConstants = CODATA2018):
-        return resonance_parameters(self.frequency, self.exposure_time, constants)
-
-
 def flipper_unitary(phi: float) -> np.ndarray:
     """Spin rotation by pi about the axis (cos phi, sin phi, 0).
 
@@ -62,13 +44,6 @@ def flipper_unitary(phi: float) -> np.ndarray:
         [[0.0, cmath.exp(-1j * phi)],
          [cmath.exp(1j * phi), 0.0]]
     )
-
-
-def solid_angle(phi_i: float, phi_ii: float) -> float:
-    """Solid angle Omega = 2(phi_I - phi_II) enclosed by the two semi-great
-    circles, wrapped to (-2*pi, 2*pi]."""
-    omega = 2.0 * (float(phi_i) - float(phi_ii))
-    return -(((-omega + TWO_PI) % FOUR_PI) - TWO_PI)
 
 
 def geometric_phase(phi_i: float, phi_ii: float = 0.0) -> float:
@@ -98,7 +73,7 @@ def entangled_state_via_flippers(phi_i: float, phi_ii: float = 0.0) -> PureState
         spin_ii[0] * _SQRT_HALF,
         spin_ii[1] * _SQRT_HALF,
     )
-    return PureState(amps, gamma=wrap_two_pi(phi_i - phi_ii))
+    return PureState(amps)
 
 
 def resonance_parameters(omega: float, tau: float,

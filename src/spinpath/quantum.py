@@ -41,11 +41,6 @@ def wrap_two_pi(angle: float) -> float:
     return float(angle) % TWO_PI
 
 
-def wrap_pi(angle: float) -> float:
-    """Reduce an angle to [-pi, pi)."""
-    return (float(angle) + math.pi) % TWO_PI - math.pi
-
-
 @dataclass(frozen=True)
 class MeasurementDirection:
     """A projective measurement direction on one two-dimensional subspace.
@@ -101,17 +96,10 @@ class JointSetting:
 class PureState:
     """Normalized pure state over the (path tensor spin) basis.
 
-    amplitudes are ordered (|I,up>, |I,down>, |II,up>, |II,down>).  The
-    remaining fields record how the state was prepared (geometric phase,
-    flip imperfection, path phase); they do not enter any computation after
-    construction.
+    amplitudes are ordered (|I,up>, |I,down>, |II,up>, |II,down>).
     """
 
     amplitudes: tuple
-    gamma: float = 0.0
-    theta: float = 0.0
-    path_phase: float = 0.0
-    dyn_offset: float = 0.0
 
     def __post_init__(self):
         amps = tuple(complex(a) for a in self.amplitudes)
@@ -154,8 +142,7 @@ def bell_state(gamma: float, theta: float = 0.0, path_phase: float = 0.0,
         branch * math.sin(theta / 2.0),
         branch * math.cos(theta / 2.0),
     )
-    return PureState(amps, gamma=gamma, theta=theta,
-                     path_phase=path_phase, dyn_offset=dyn_offset)
+    return PureState(amps)
 
 
 def direction_ket(direction: MeasurementDirection, sign: int = +1) -> np.ndarray:
@@ -167,12 +154,6 @@ def direction_ket(direction: MeasurementDirection, sign: int = +1) -> np.ndarray
     if sign == +1:
         return np.array([math.cos(half), phase * math.sin(half)])
     return np.array([-math.sin(half), phase * math.cos(half)])
-
-
-def subspace_projector(direction: MeasurementDirection, sign: int = +1) -> np.ndarray:
-    """2x2 Hermitian idempotent |sign d><sign d| on the tagged subspace."""
-    ket = direction_ket(direction, sign)
-    return np.outer(ket, ket.conj())
 
 
 def joint_probability(state: PureState, setting: JointSetting) -> float:

@@ -7,12 +7,11 @@ import time
 import numpy as np
 import pytest
 
-from conftest import polar_angle_deviation
+from conftest import grid_maximize_s, polar_angle_deviation
 from spinpath.analysis import estimate_bell_s, fit_sinusoid
 from spinpath.chsh import (
     BellAngleSet,
     TSIRELSON,
-    grid_maximize_s,
     s_azimuthal,
     s_general,
     s_polar,

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 import spinpath.analysis as analysis
-import spinpath.chsh as chsh
-from conftest import polar_angle_deviation
+from conftest import maximize_2d, polar_angle_deviation
 from spinpath.analysis import (
     FitError,
     NormalizationError,
@@ -18,13 +17,12 @@ from spinpath.analysis import (
     fit_sinusoid,
     fit_sinusoid_xy,
     normalize_by_reference,
-    projections_from_fit,
     read_scan_results,
     run_azimuthal_scan,
     run_polar_scan,
     write_scan_results,
 )
-from spinpath.chsh import maximize_2d, s_polar_max
+from spinpath.chsh import s_polar_max
 from spinpath.experiment import (
     ExperimentConfig,
     Interferogram,
@@ -205,7 +203,8 @@ def test_projections_examples(mean, amp, phase, expected):
     fit = SinusoidFit(mean=mean, amplitude=amp, phase=phase,
                       visibility=amp / mean, covariance=np.eye(3),
                       residual_chi2=0.0)
-    i0, ipi = projections_from_fit(fit)
+    # the +-x path projections read the fit at fringe coordinates 0 and pi
+    i0, ipi = fit.model(0.0), fit.model(math.pi)
     assert i0 == pytest.approx(expected[0], abs=1e-9)
     assert ipi == pytest.approx(expected[1], abs=1e-9)
 
@@ -365,18 +364,6 @@ def test_polar_scan_escapes_grid_search_trap():
     assert result.s == pytest.approx(2.0000347, abs=1e-7)
     assert (result.beta1, result.beta1_p, result.s) == \
         analysis._polar_maximum(*curves)
-
-
-def test_polar_scan_runs_no_grid_search(monkeypatch):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("run_polar_scan called maximize_2d")
-
-    monkeypatch.setattr(chsh, "maximize_2d", forbidden)
-    monkeypatch.setattr(analysis, "maximize_2d", forbidden, raising=False)
-    gammas = default_gamma_grid()
-    assert len(run_polar_scan(ExperimentConfig(seed=1), gammas)) == gammas.size
-    assert len(run_polar_scan(ExperimentConfig(), gammas, exact=True)) == \
-        gammas.size
 
 
 def test_polar_projection_curves_match_fit_models():

@@ -3,13 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import polar_angle_deviation
+from conftest import grid_maximize_s, polar_angle_deviation
 from spinpath.chsh import (
     BellAngleSet,
-    SValueRecord,
     TSIRELSON,
     azimuthal_optimal_angle,
-    grid_maximize_s,
     polar_optimal_angles,
     s_azimuthal,
     s_general,
@@ -196,7 +194,7 @@ def test_azimuthal_optimal_angle_examples(gamma, expected):
 
 
 # ---------------------------------------------------------------------------
-# numerical surface maximization
+# numerical surface maximization (brute-force oracle for the closed form)
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("gamma,s_expected", [
@@ -222,27 +220,9 @@ def test_grid_maximize_deterministic():
     assert first == second
 
 
-def test_grid_maximize_validates_inputs():
-    with pytest.raises(ValueError):
-        grid_maximize_s(0.0, coarse_step=math.pi / 8)
-    with pytest.raises(ValueError):
-        grid_maximize_s(0.0, refine_tol=1e-3)
-
-
 # ---------------------------------------------------------------------------
 # record types
 # ---------------------------------------------------------------------------
-
-def test_svalue_record_validation():
-    SValueRecord(gamma=0.0, s=2.0, method="analytic")
-    SValueRecord(gamma=0.0, s=TSIRELSON + 0.05, method="counts")  # noisy estimate
-    with pytest.raises(ValueError):
-        SValueRecord(gamma=0.0, s=TSIRELSON + 0.05, method="analytic")
-    with pytest.raises(ValueError):
-        SValueRecord(gamma=0.0, s=-0.1, method="grid")
-    with pytest.raises(ValueError):
-        SValueRecord(gamma=0.0, s=1.0, method="magic")
-
 
 def test_bell_angle_set_validation():
     with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import pytest
 
 from spinpath.cli import main, parse_angle, parse_angle_list
 from spinpath.analysis import read_scan_results
-from spinpath.chsh import s_polar, s_polar_max
+from spinpath.chsh import polar_optimal_angles, s_polar, s_polar_max
 from spinpath.experiment import parse_kv, read_beam_block, read_interferogram
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
@@ -68,6 +68,11 @@ def test_surface_run(tmp_path):
     assert s_max_cell == pytest.approx(2.0, abs=0.01)
     manifest = parse_kv((out / "manifest.txt").read_text(encoding="utf-8"))
     assert manifest["s_max"] == pytest.approx(2.0, abs=1e-6)
+    # the manifest reports the closed-form maximum and its angles as given
+    gamma = parse_angle("90 deg")
+    beta1, beta1_p, _ = polar_optimal_angles(gamma)
+    assert (manifest["beta1_max"], manifest["beta1p_max"], manifest["s_max"]) \
+        == (beta1, beta1_p, s_polar_max(gamma))
 
 
 @pytest.mark.parametrize("gamma", ["90 deg", "1.1"])
@@ -219,6 +224,15 @@ def test_missing_delta_names_it(tmp_path, capsys):
      "chi_periods"),
     (["beam-block", "--exact", "--blocked-path", "I", "--delta-points", "0"],
      "delta_points"),
+    (["surface", "--gamma", "nan"], "gamma"),
+    (["surface", "--gamma", "1", "--step", "inf"], "step"),
+    (["analytic", "--gamma-list", "0,nan"], "gamma_list"),
+    (["simulate", "--delta", "nan", "--gamma", "0", "--exact"], "delta"),
+    (["simulate", "--delta", "1", "--gamma", "inf", "--exact"], "gamma"),
+    (["beam-block", "--blocked-path", "I", "--gamma", "inf", "--exact"],
+     "gamma"),
+    (["scan-polar", "--exact", "--gamma-list", "0", "--delta-step", "nan"],
+     "delta_step"),
 ])
 def test_zero_sizes_are_rejected_not_defaulted(tmp_path, capsys, argv, field):
     out = tmp_path / "x"

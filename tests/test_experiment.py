@@ -7,15 +7,14 @@ import spinpath.experiment as experiment
 from spinpath.analysis import estimate_bell_s, run_azimuthal_scan, run_polar_scan
 from spinpath.experiment import (
     BeamBlockScan,
-    CountQuadruple,
     EstimationError,
     ExperimentConfig,
     counts_to_expectation,
     default_chi_grid,
-    detection_rate,
     expectation_from_values,
     format_kv,
     parse_kv,
+    rate_grid,
     read_beam_block,
     read_interferogram,
     reference_run,
@@ -116,35 +115,35 @@ def test_stream_rng_rejects_negative_seed():
 
 def test_ideal_fringe_at_half_pi_analyzer():
     config = ExperimentConfig(max_rate=25.0, measure_time=1.0, visibility=1.0)
-    for chi in np.linspace(0, 4 * math.pi, 17):
-        want = 25.0 * (1.0 + math.cos(chi)) / 2.0
-        assert detection_rate(config, chi, math.pi / 2, 0.0) == pytest.approx(
-            want, abs=1e-9)
-    rates = [detection_rate(config, c, math.pi / 2, 0.0)
-             for c in np.linspace(0, 2 * math.pi, 100, endpoint=False)]
+    chi = np.linspace(0, 4 * math.pi, 17)
+    want = 25.0 * (1.0 + np.cos(chi)) / 2.0
+    assert rate_grid(config, math.pi / 2, chi) == pytest.approx(want, abs=1e-9)
+    rates = rate_grid(config, math.pi / 2,
+                      np.linspace(0, 2 * math.pi, 100, endpoint=False))
     assert np.argmax(rates) == 0
 
 
 def test_zero_visibility_is_flat():
     config = ExperimentConfig(visibility=0.0)
-    rates = {detection_rate(config, c, math.pi / 2, 0.0)
-             for c in np.linspace(0, 2 * math.pi, 9)}
-    assert max(rates) - min(rates) < 1e-12
+    rates = rate_grid(config, math.pi / 2, np.linspace(0, 2 * math.pi, 9))
+    assert rates.max() - rates.min() < 1e-12
 
 
 def test_gamma_shifts_the_fringe():
     config = ExperimentConfig()
     gamma = 0.77
-    for chi in np.linspace(0, 2 * math.pi, 11):
-        shifted = detection_rate(config, chi, math.pi / 2, gamma)
-        reference = detection_rate(config, chi + gamma, math.pi / 2, 0.0)
-        assert shifted == pytest.approx(reference, abs=1e-9)
+    chi = np.linspace(0, 2 * math.pi, 11)
+    shifted = simulate_interferogram(config, math.pi / 2, gamma, chi,
+                                     exact=True)
+    reference = simulate_interferogram(config, math.pi / 2, 0.0, chi + gamma,
+                                       exact=True)
+    assert shifted.counts == pytest.approx(reference.counts, abs=1e-9)
 
 
 def test_detection_rate_blend_example():
     # R=25/s, V=0.5, t=40 s at the gamma=0 fringe peak: 25*40*0.75 counts
     config = ExperimentConfig(max_rate=25.0, measure_time=40.0, visibility=0.5)
-    counts = detection_rate(config, 0.0, math.pi / 2, 0.0) * config.measure_time
+    counts = float(rate_grid(config, math.pi / 2, 0.0)) * config.measure_time
     assert counts == pytest.approx(750.0, abs=1e-9)
 
 
@@ -209,12 +208,12 @@ def test_sign_combination_sum_rule(visibility):
     config = ExperimentConfig(max_rate=25.0, measure_time=2.0,
                               visibility=visibility)
     delta = 0.9
-    for chi in np.linspace(0, 2 * math.pi, 7):
-        total = (detection_rate(config, chi, delta, 0.4)
-                 + detection_rate(config, chi + math.pi, delta, 0.4)
-                 + detection_rate(config, chi, delta + math.pi, 0.4)
-                 + detection_rate(config, chi + math.pi, delta + math.pi, 0.4))
-        assert total == pytest.approx(2.0 * config.max_rate, rel=1e-9)
+    phase = np.linspace(0, 2 * math.pi, 7) + 0.4
+    total = (rate_grid(config, delta, phase)
+             + rate_grid(config, delta, phase + math.pi)
+             + rate_grid(config, delta + math.pi, phase)
+             + rate_grid(config, delta + math.pi, phase + math.pi))
+    assert total == pytest.approx(np.full(7, 2.0 * config.max_rate), rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -250,9 +249,7 @@ def test_poisson_counts_match_rates_on_average():
     config = ExperimentConfig(max_rate=25.0, measure_time=400.0, seed=9)
     chi = default_chi_grid()
     gram = simulate_interferogram(config, math.pi / 2, 0.0, chi_grid=chi)
-    expected = np.array(
-        [detection_rate(config, c, math.pi / 2, 0.0) for c in chi]
-    ) * config.measure_time
+    expected = rate_grid(config, math.pi / 2, chi) * config.measure_time
     # total counts within 5 sigma of the summed expectation
     assert abs(gram.counts.sum() - expected.sum()) < 5 * math.sqrt(expected.sum())
 
@@ -351,24 +348,30 @@ def test_reference_carries_dynamical_offset():
     ((100, 0, 0, 100), 1.0),
 ])
 def test_counts_to_expectation_examples(quad, expected):
-    e, sigma = counts_to_expectation(CountQuadruple(*quad))
+    e, sigma = counts_to_expectation(quad)
     assert e == pytest.approx(expected, abs=1e-12)
     assert sigma >= 0.0
+    # exact-mode float counts take the same estimator, bit for bit
+    assert counts_to_expectation(np.array(quad, dtype=float)) == (e, sigma)
+    assert counts_to_expectation(np.array(quad, dtype=np.int64)) == (e, sigma)
+    with pytest.raises(ValueError, match="nonnegative"):
+        counts_to_expectation((-1,) + quad[1:])
 
 
 def test_counts_to_expectation_rejects_empty():
     with pytest.raises(EstimationError):
-        counts_to_expectation(CountQuadruple(0, 0, 0, 0))
+        counts_to_expectation((0, 0, 0, 0))
 
 
 def test_count_quadruple_rejects_negative():
-    with pytest.raises(ValueError):
-        CountQuadruple(-1, 0, 0, 0)
+    for quad in ((-1, 0, 0, 0), (5.0, 5.0, -0.5, 5.0)):
+        with pytest.raises(EstimationError):
+            counts_to_expectation(quad)
 
 
 def test_poisson_sigma_hand_value():
     # e = 0 at (n, n, n, n): sigma = sqrt(4 * n) / (4 n) = 1 / (2 sqrt(n))
-    _, sigma = counts_to_expectation(CountQuadruple(100, 100, 100, 100))
+    _, sigma = counts_to_expectation((100, 100, 100, 100))
     assert sigma == pytest.approx(0.05, abs=1e-12)
 
 
@@ -408,7 +411,7 @@ def test_monte_carlo_estimator_coverage():
         counts = rng.poisson(probs * 4e4)
         if counts.sum() == 0:
             continue
-        e, sigma = counts_to_expectation(CountQuadruple(*(int(c) for c in counts)))
+        e, sigma = counts_to_expectation(counts)
         if abs(e - exact) <= 3 * sigma:
             hits += 1
     assert hits / trials >= 0.99

@@ -6,13 +6,11 @@ import pytest
 
 from spinpath.flippers import (
     CODATA2018,
-    FlipperSetting,
     PhysicalConstants,
     entangled_state_via_flippers,
     flipper_unitary,
     geometric_phase,
     resonance_parameters,
-    solid_angle,
 )
 from spinpath.quantum import bell_state
 
@@ -66,36 +64,8 @@ def test_composite_imprints_phase_on_down():
 
 
 # ---------------------------------------------------------------------------
-# solid angle and geometric phase
+# geometric phase
 # ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("phi_i,phi_ii,expected", [
-    (math.pi / 2.0, 0.0, math.pi),
-    (0.0, 0.0, 0.0),
-    (math.pi / 4.0, -math.pi / 4.0, math.pi),
-])
-def test_solid_angle_examples(phi_i, phi_ii, expected):
-    assert solid_angle(phi_i, phi_ii) == pytest.approx(expected, abs=1e-12)
-
-
-def _mod_four_pi_distance(x: float) -> float:
-    residue = x % (4 * math.pi)
-    return min(residue, 4 * math.pi - residue)
-
-
-def test_solid_angle_wrapped_range():
-    rng = np.random.default_rng(2)
-    for a, b in rng.uniform(-20, 20, (200, 2)):
-        omega = solid_angle(a, b)
-        assert -2 * math.pi < omega <= 2 * math.pi + 1e-12
-        assert _mod_four_pi_distance(omega - 2 * (a - b)) < 1e-9
-
-
-def test_solid_angle_antisymmetric():
-    rng = np.random.default_rng(3)
-    for a, b in rng.uniform(-5, 5, (100, 2)):
-        assert _mod_four_pi_distance(solid_angle(a, b) + solid_angle(b, a)) < 1e-9
-
 
 @pytest.mark.parametrize("phi_i,phi_ii,expected", [
     (math.pi / 6.0, 0.0, math.pi / 6.0),
@@ -163,14 +133,6 @@ def test_resonance_rejects_nonpositive_inputs():
         resonance_parameters(0.0, 1e-4)
     with pytest.raises(ValueError):
         resonance_parameters(1e5, -1.0)
-
-
-def test_flipper_setting_resonance():
-    setting = FlipperSetting(phi=0.2, frequency=2 * math.pi * 58e3,
-                             exposure_time=76e-6)
-    b0, b_rf = setting.resonance()
-    assert b0 == pytest.approx(1.988706e-3, rel=1e-5)
-    assert b_rf > 0
 
 
 def test_constants_override():

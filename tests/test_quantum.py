@@ -9,14 +9,20 @@ from spinpath.quantum import (
     MeasurementDirection,
     PureState,
     bell_state,
+    direction_ket,
     expectation,
     joint_probability,
     path_direction,
     spin_direction,
-    subspace_projector,
 )
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
+
+
+def subspace_projector(direction, sign=+1):
+    """2x2 projector |sign d><sign d| on the tagged subspace."""
+    ket = direction_ket(direction, sign)
+    return np.outer(ket, ket.conj())
 
 
 def all_sign_settings(path_dir, spin_dir):

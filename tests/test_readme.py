@@ -1,0 +1,13 @@
+"""The README's Python quick start runs as written against the package."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_quick_start_block_runs():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Python quick start", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    exec(compile(block, "README.md quick start", "exec"), {})
