@@ -2,12 +2,13 @@
 
 The pipeline mirrors the measurement procedure: fringe scans are fitted
 with a single sinusoid, a flipper-off reference run pins the phase zero of
-each fit, projections at the fringe extrema supply the +-x path counts,
-beam-block runs supply the +-z path counts, and the four resulting
-expectation values combine into S.  The polar scan rebuilds the
-S(beta1, beta1') surface from sinusoid fits of the analyzer-angle curves
-and takes its exact maximum from two harmonics; the azimuthal scan reads
-the compensating azimuth straight off the fitted fringe phase.
+each fit, beam-block counts supply the +-z path terms, and the four
+resulting expectation values combine into S.  Every fitted expectation
+(the +-x path terms, and the polar scan's analyzer-curve terms) reads a
+pair of fits at an angle b and at b + pi, which leaves one harmonic,
+E(b) = ((b+ - b-) cos b + (c+ - c-) sin b) / (a+ + a-).  The polar scan
+takes the exact maximum of its S surface from two such harmonics; the
+azimuthal scan reads the compensating azimuth off the fitted fringe phase.
 
 Reported S values use the raw fitted contrast, so a finite fringe
 visibility propagates into S (a contrast below 1/sqrt(2) suppresses any
@@ -24,10 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .experiment import (
+    EstimationError,
     ExperimentConfig,
     Interferogram,
     counts_to_expectation,
-    expectation_from_values,
     reference_run,
     s_from_expectations,
     simulate_beam_block,
@@ -84,12 +85,6 @@ class SinusoidFit:
     def model(self, x):
         """Fitted model evaluated at x (scalar or array)."""
         return self.mean + self.amplitude * np.cos(np.asarray(x, dtype=float) + self.phase)
-
-    def model_covariance(self, x1: float, x2: float) -> float:
-        """Covariance of the model values at two points."""
-        g1 = np.array([1.0, math.cos(x1), math.sin(x1)])
-        g2 = np.array([1.0, math.cos(x2), math.sin(x2)])
-        return float(g1 @ self.covariance @ g2)
 
     def phase_variance(self) -> float:
         """Delta-method variance of the fitted phase."""
@@ -266,17 +261,36 @@ class ScanResult:
             raise ValueError("s must be nonnegative")
 
 
-def _expectation_from_slots(slots) -> tuple:
-    """Expectation from four (fit, x) model evaluations ordered
-    (++, +-, -+, --); slots sharing a fit object share its parameter
-    covariance."""
-    values = [float(fit.model(x)) for fit, x in slots]
-    cov = np.zeros((4, 4))
-    for i, (fit_i, x_i) in enumerate(slots):
-        for j, (fit_j, x_j) in enumerate(slots):
-            if fit_i is fit_j:
-                cov[i, j] = fit_i.model_covariance(x_i, x_j)
-    return expectation_from_values(values, cov)
+def _pair_harmonic(plus: SinusoidFit, minus: SinusoidFit) -> tuple:
+    """(p, q, total) of a curve pair read at b and b + pi: the readings
+    v = (plus(b), plus(b + pi), minus(b), minus(b + pi)) give
+    E(b) = (v1 - v2 - v3 + v4) / sum(v) = p cos(b) + q sin(b).  Raises
+    EstimationError unless total = a+ + a- is positive."""
+    (a_p, b_p, c_p), (a_m, b_m, c_m) = plus.abc(), minus.abc()
+    total = a_p + a_m
+    if total <= 0.0:
+        raise EstimationError("total counts must be positive for estimation")
+    return (b_p - b_m) / total, (c_p - c_m) / total, total
+
+
+def _pair_expectation(plus: SinusoidFit, minus: SinusoidFit, b: float) -> tuple:
+    """(E, sigma) of a curve pair read at b and b + pi.
+
+    The fits are independent; each fit's covariance propagates through its
+    gradient (-E, +-cos b, +-sin b) / total, applied as the weights
+    (1 - E, -1 - E) / (2 total) (plus) or (-1 - E, 1 - E) / (2 total) (minus)
+    of its two readings.  A reading pinned by near-zero counts varies far
+    less than the fit parameters, and in their basis would lose digits.
+    """
+    p, q, total = _pair_harmonic(plus, minus)
+    cos_b, sin_b = math.cos(b), math.sin(b)
+    e = p * cos_b + q * sin_b
+    reads = np.array([[1.0, cos_b, sin_b], [1.0, -cos_b, -sin_b]])
+    var = 0.0
+    for w, fit in (((1.0 - e, -1.0 - e), plus), ((-1.0 - e, 1.0 - e), minus)):
+        w = np.array(w)
+        var += float(w @ (reads @ fit.covariance @ reads.T) @ w)
+    return e, math.sqrt(var) / (2.0 * total)
 
 
 class _BellMeasurement:
@@ -336,15 +350,8 @@ class _BellMeasurement:
         """Path +-x expectation at azimuth alpha2p for spin angle index
         0 or 1; the fringe fits are read out at the phase-shifter positions
         chi = -alpha2p (path +) and pi - alpha2p (path -)."""
-        chi_plus = -alpha2p
-        chi_minus = math.pi - alpha2p
-        fit = self.fits[2 * which]
-        fit_anti = self.fits[2 * which + 1]
-        slots = [
-            (fit, chi_plus), (fit_anti, chi_plus),
-            (fit, chi_minus), (fit_anti, chi_minus),
-        ]
-        return _expectation_from_slots(slots)
+        return _pair_expectation(self.fits[2 * which], self.fits[2 * which + 1],
+                                 -alpha2p)
 
     def s_at(self, alpha2p: float) -> tuple:
         """S and its error with the second path direction at azimuth
@@ -396,13 +403,6 @@ def estimate_bell_s(config: ExperimentConfig, gamma: float,
                         phase_sigma=measurement.phase_sigma)
 
 
-def _curve_expectation_sigma(plus: SinusoidFit, minus: SinusoidFit,
-                             angle: float) -> tuple:
-    anti = angle + math.pi
-    slots = [(plus, angle), (plus, anti), (minus, angle), (minus, anti)]
-    return _expectation_from_slots(slots)
-
-
 def default_polar_delta_grid() -> np.ndarray:
     """Spin-analysis angles 0 .. pi in steps of pi/8."""
     return np.linspace(0.0, math.pi, 9)
@@ -447,18 +447,12 @@ def _polar_curves(measurement: _BellMeasurement, deltas: np.ndarray) -> tuple:
 def _polar_maximum(z_plus, z_minus, x_plus, x_minus) -> tuple:
     """Exact maximum (beta1, beta1', S) of the fitted S surface on [0, pi]^2.
 
-    Reading a curve pair at b and at b + pi cancels the fitted means in the
-    numerator and the amplitudes in the denominator, so each expectation is
-    one harmonic, E(b) = ((b+ - b-) cos b + (c+ - c-) sin b) / (a+ + a-).
-    The surface is |U(b1) + V(b1')| with U = E_x + E_z and V = E_x - E_z,
+    Each curve pair gives one harmonic E(b) (see _pair_harmonic).  The
+    surface is |U(b1) + V(b1')| with U = E_x + E_z and V = E_x - E_z,
     and its maximum is the larger of max U + max V and -(min U + min V).
     """
-    def harmonic(plus, minus):
-        (a_p, b_p, c_p), (a_m, b_m, c_m) = plus.abc(), minus.abc()
-        total = a_p + a_m
-        return (b_p - b_m) / total, (c_p - c_m) / total
-
-    (pz, qz), (px, qx) = harmonic(z_plus, z_minus), harmonic(x_plus, x_minus)
+    pz, qz, _ = _pair_harmonic(z_plus, z_minus)
+    px, qx, _ = _pair_harmonic(x_plus, x_minus)
     b1_hi, u_hi = _harmonic_max(px + pz, qx + qz)
     b1p_hi, v_hi = _harmonic_max(px - pz, qx - qz)
     b1_lo, u_lo = _harmonic_max(-px - pz, -qx - qz)
@@ -501,11 +495,10 @@ def run_polar_scan(config: ExperimentConfig, gamma_list, delta_grid=None,
                                        normalize_contrast, base_stream=ig)
         z_plus, z_minus, x_plus, x_minus = _polar_curves(measurement, deltas)
         beta1, beta1_p, s_max = _polar_maximum(z_plus, z_minus, x_plus, x_minus)
-        _, sig1 = _curve_expectation_sigma(z_plus, z_minus, beta1)
-        _, sig2 = _curve_expectation_sigma(z_plus, z_minus, beta1_p)
-        _, sig3 = _curve_expectation_sigma(x_plus, x_minus, beta1)
-        _, sig4 = _curve_expectation_sigma(x_plus, x_minus, beta1_p)
-        sigma_s = math.sqrt(sig1 ** 2 + sig2 ** 2 + sig3 ** 2 + sig4 ** 2)
+        sigma_s = math.sqrt(sum(
+            _pair_expectation(plus, minus, b)[1] ** 2
+            for plus, minus in ((z_plus, z_minus), (x_plus, x_minus))
+            for b in (beta1, beta1_p)))
         results.append(ScanResult(gamma=float(gamma), s=s_max, sigma_s=sigma_s,
                                   beta1=beta1, beta1_p=beta1_p,
                                   method="polar-adjusted"))

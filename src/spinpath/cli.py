@@ -46,16 +46,6 @@ from .experiment import (
 )
 from .quantum import TWO_PI
 
-KINDS = (
-    "analytic",
-    "surface",
-    "simulate-interferogram",
-    "beam-block",
-    "polar-scan",
-    "azimuthal-scan",
-)
-
-
 def parse_angle(text) -> float:
     """Parse an angle: bare number or 'rad' suffix = radians, 'deg' suffix
     = degrees."""
@@ -104,14 +94,33 @@ def _finite(field: str, value: float) -> float:
     return value
 
 
+def _parsed(field: str, value, parse, kind: str):
+    """parse(value), or a ValueError naming the field when the value is a
+    boolean or parse rejects it."""
+    if not isinstance(value, bool):
+        try:
+            return parse(value)
+        except ValueError:
+            pass
+    raise ValueError(f"{field} must be {kind}, got {value!r}")
+
+
+def _whole(value) -> int:
+    """An integer value (3.0 counts as 3); anything else is a ValueError."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int):
+        return value
+    raise ValueError(value)
+
+
 def _resolve_gamma_list(parameters: dict) -> list:
     if parameters.get("gamma_list") is not None:
-        gammas = [_finite("gamma_list", g)
-                  for g in parse_angle_list(parameters["gamma_list"])]
+        angles = _parsed("gamma_list", parameters["gamma_list"],
+                         parse_angle_list, "a list of angles")
+        gammas = [_finite("gamma_list", g) for g in angles]
     elif parameters.get("gamma_points") is not None:
-        n = int(parameters["gamma_points"])
-        if n <= 0:
-            raise ValueError("gamma_points must be positive")
+        n = _count(parameters, "gamma_points", 1)
         gammas = list(np.linspace(0.0, TWO_PI, n, endpoint=False))
     else:
         gammas = list(default_gamma_grid())
@@ -132,13 +141,22 @@ def _angle(parameters: dict, field: str, default=None) -> float:
     default, or is reported missing when there is none."""
     text = (_require(parameters, field) if default is None
             else _get(parameters, field, default))
-    return _finite(field, parse_angle(text))
+    return _finite(field, _parsed(field, text, parse_angle, "an angle"))
 
 
 def _count(parameters: dict, field: str, default: int, minimum: int = 1) -> int:
-    value = int(_get(parameters, field, default))
+    value = _parsed(field, _get(parameters, field, default), _whole,
+                    "an integer")
     if value < minimum:
         raise ValueError(f"{field} must be at least {minimum}, got {value}")
+    return value
+
+
+def _flag(parameters: dict, field: str, default: bool) -> bool:
+    """The field as a boolean; any other value is a ValueError naming it."""
+    value = _get(parameters, field, default)
+    if not isinstance(value, bool):
+        raise ValueError(f"{field} must be true or false, got {value!r}")
     return value
 
 
@@ -191,11 +209,10 @@ def _run_surface(scenario: Scenario, out: Path) -> dict:
 def _run_simulate(scenario: Scenario, out: Path) -> dict:
     p = scenario.parameters
     delta = _angle(p, "delta")
-    flipper_on = p.get("flipper_on")
-    flipper_on = True if flipper_on is None else bool(flipper_on)
+    flipper_on = _flag(p, "flipper_on", True)
     points, periods = _chi_size(p)
     chi = default_chi_grid(points, periods)
-    exact = bool(p.get("exact") or False)
+    exact = _flag(p, "exact", False)
     if flipper_on:
         gamma = _angle(p, "gamma")
         gram = simulate_interferogram(scenario.config, delta, gamma,
@@ -215,7 +232,7 @@ def _run_beam_block(scenario: Scenario, out: Path) -> dict:
     blocked = str(_require(p, "blocked_path"))
     gamma = _angle(p, "gamma", 0.0)
     points = _count(p, "delta_points", 17, minimum=2)
-    exact = bool(p.get("exact") or False)
+    exact = _flag(p, "exact", False)
     deltas = np.linspace(0.0, TWO_PI, points)
     scan = simulate_beam_block(scenario.config, deltas, gamma, blocked,
                                exact=exact)
@@ -236,8 +253,8 @@ def _run_polar_scan(scenario: Scenario, out: Path) -> dict:
     deltas = np.linspace(0.0, math.pi, n)
     points, periods = _chi_size(p)
     chi = default_chi_grid(points, periods)
-    exact = bool(p.get("exact") or False)
-    normalize = bool(p.get("normalize_contrast") or False)
+    exact = _flag(p, "exact", False)
+    normalize = _flag(p, "normalize_contrast", False)
     results = run_polar_scan(scenario.config, gammas, delta_grid=deltas,
                              chi_grid=chi, exact=exact,
                              normalize_contrast=normalize)
@@ -255,8 +272,8 @@ def _run_azimuthal_scan(scenario: Scenario, out: Path) -> dict:
     gammas = _resolve_gamma_list(p)
     points, periods = _chi_size(p)
     chi = default_chi_grid(points, periods)
-    exact = bool(p.get("exact") or False)
-    normalize = bool(p.get("normalize_contrast") or False)
+    exact = _flag(p, "exact", False)
+    normalize = _flag(p, "normalize_contrast", False)
     results = run_azimuthal_scan(scenario.config, gammas, chi_grid=chi,
                                  exact=exact, normalize_contrast=normalize)
     write_scan_results(results, out / "scan_azimuthal.csv")
@@ -275,6 +292,7 @@ _RUNNERS = {
     "polar-scan": _run_polar_scan,
     "azimuthal-scan": _run_azimuthal_scan,
 }
+KINDS = tuple(_RUNNERS)
 
 
 def run(scenario: Scenario, output_dir) -> int:
@@ -391,8 +409,12 @@ _COMMAND_KINDS = {
     "scan-azimuthal": "azimuthal-scan",
 }
 
-_CONFIG_FIELDS = ("max_rate", "measure_time", "visibility", "theta",
-                  "dyn_offset", "seed")
+# ExperimentConfig fields: how each is read, and what it must be
+_CONFIG_FIELDS = {
+    "max_rate": (float, "a number"), "measure_time": (float, "a number"),
+    "visibility": (float, "a number"), "theta": (parse_angle, "an angle"),
+    "dyn_offset": (parse_angle, "an angle"), "seed": (_whole, "an integer"),
+}
 
 
 def build_scenario(args: argparse.Namespace) -> Scenario:
@@ -405,16 +427,9 @@ def build_scenario(args: argparse.Namespace) -> Scenario:
             continue
         data[key] = value
 
-    config_kwargs = {}
-    for field in _CONFIG_FIELDS:
-        if field in data:
-            if field in ("theta", "dyn_offset"):
-                config_kwargs[field] = parse_angle(data[field])
-            elif field == "seed":
-                config_kwargs[field] = int(data[field])
-            else:
-                config_kwargs[field] = float(data[field])
-    config = ExperimentConfig(**config_kwargs)
+    config = ExperimentConfig(**{
+        field: _parsed(field, data[field], parse, kind)
+        for field, (parse, kind) in _CONFIG_FIELDS.items() if field in data})
 
     parameters = {k: v for k, v in data.items()
                   if k not in _CONFIG_FIELDS and k != "kind"}

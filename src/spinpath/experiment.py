@@ -204,20 +204,18 @@ def _chi_values(chi_grid) -> np.ndarray:
     return chi
 
 
-def _draw_counts(config: ExperimentConfig, rates: np.ndarray, rng, kind: int,
+def _draw_counts(config: ExperimentConfig, rates: np.ndarray, kind: int,
                  stream, exact: bool) -> np.ndarray:
     """Expected counts (exact mode, no stream built) or one Poisson draw per
-    point, from the stream (seed, kind, *stream) unless an rng is passed."""
+    point from the stream (seed, kind, *stream)."""
     expected = rates * config.measure_time
     if exact:
         return expected
-    if rng is None:
-        rng = stream_rng(config.seed, kind, *_stream_key(stream))
-    return rng.poisson(expected)
+    return stream_rng(config.seed, kind, *_stream_key(stream)).poisson(expected)
 
 
 def simulate_interferogram(config: ExperimentConfig, delta: float, gamma: float,
-                           chi_grid=None, rng=None, stream=0,
+                           chi_grid=None, stream=0,
                            exact: bool = False) -> Interferogram:
     """Simulate one phase-shifter scan.
 
@@ -228,13 +226,13 @@ def simulate_interferogram(config: ExperimentConfig, delta: float, gamma: float,
     """
     chi = _chi_values(chi_grid)
     rates = rate_grid(config, delta, chi + config.dyn_offset + gamma)
-    counts = _draw_counts(config, rates, rng, STREAM_INTERFEROGRAM, stream, exact)
+    counts = _draw_counts(config, rates, STREAM_INTERFEROGRAM, stream, exact)
     return Interferogram(chi, counts, delta=float(delta), gamma=float(gamma),
                          flipper_on=True)
 
 
 def simulate_beam_block(config: ExperimentConfig, delta_grid, gamma: float,
-                        blocked_path: str, rng=None, stream=0,
+                        blocked_path: str, stream=0,
                         exact: bool = False) -> BeamBlockScan:
     """Simulate a spin-analysis scan with one beam stopped."""
     deltas = np.asarray(delta_grid, dtype=float)
@@ -242,54 +240,43 @@ def simulate_beam_block(config: ExperimentConfig, delta_grid, gamma: float,
         raise ValueError("delta_grid must not be empty")
     rates = rate_grid(config, deltas, 0.0, _block_polar(blocked_path),
                       scan="delta")
-    counts = _draw_counts(config, rates, rng, STREAM_BEAM_BLOCK, stream, exact)
+    counts = _draw_counts(config, rates, STREAM_BEAM_BLOCK, stream, exact)
     return BeamBlockScan(deltas, counts, blocked_path=blocked_path,
                          gamma=float(gamma))
 
 
 def reference_run(config: ExperimentConfig, delta: float, chi_grid=None,
-                  rng=None, stream=0, exact: bool = False) -> Interferogram:
+                  stream=0, exact: bool = False) -> Interferogram:
     """Simulate a flipper-off reference scan used to calibrate the fringe
     phase zero and contrast."""
     chi = _chi_values(chi_grid)
     rates = rate_grid(config, delta, chi + config.dyn_offset, flipper_on=False)
-    counts = _draw_counts(config, rates, rng, STREAM_REFERENCE, stream, exact)
+    counts = _draw_counts(config, rates, STREAM_REFERENCE, stream, exact)
     return Interferogram(chi, counts, delta=float(delta), gamma=0.0,
                          flipper_on=False)
 
 
-def expectation_from_values(values, cov) -> tuple:
-    """Expectation value and error from four signed quantities.
-
-    values are ordered (v++, v+-, v-+, v--); cov is their 4x4 covariance (a
-    diagonal for independent counts).  E = (v1 - v2 - v3 + v4) / sum, and
-    the error follows from linear propagation through that ratio.
-    """
-    v = np.asarray(values, dtype=float)
-    if v.shape != (4,):
-        raise ValueError("values must contain exactly 4 entries")
-    total = float(v.sum())
-    if total <= 0.0:
-        raise EstimationError("total counts must be positive for estimation")
-    signs = np.array([1.0, -1.0, -1.0, 1.0])
-    e = float(signs @ v) / total
-    jac = (signs - e) / total
-    var = float(jac @ np.asarray(cov, dtype=float) @ jac)
-    return e, math.sqrt(max(var, 0.0))
-
-
 def counts_to_expectation(values) -> tuple:
-    """E = (N++ - N+- - N-+ + N--) / N_total with Poisson error propagation,
-    from four counts ordered (N++, N+-, N-+, N--), integer draws or
-    exact-mode floats.
+    """E = (N++ - N+- - N-+ + N--) / N_total and its Poisson error.
 
-    Zero observed counts contribute unit variance (the same floor the
-    fringe fits use for Poisson weights).
+    values are four counts (N++, N+-, N-+, N--), integer draws or exact-mode
+    floats.  The error propagates independent variances max(N, 1) (the floor
+    the fringe fits use for their weights) linearly through the ratio.
+    Raises EstimationError for a negative count or a nonpositive total.
     """
     counts = np.asarray(values, dtype=float)
     if np.any(counts < 0.0):
         raise EstimationError("counts must be nonnegative")
-    return expectation_from_values(counts, np.diag(np.maximum(counts, 1.0)))
+    if counts.shape != (4,):
+        raise ValueError("values must contain exactly 4 entries")
+    total = float(counts.sum())
+    if total <= 0.0:
+        raise EstimationError("total counts must be positive for estimation")
+    signs = np.array([1.0, -1.0, -1.0, 1.0])
+    e = float(signs @ counts) / total
+    jac = (signs - e) / total
+    var = float(jac @ np.diag(np.maximum(counts, 1.0)) @ jac)
+    return e, math.sqrt(var)
 
 
 def s_from_expectations(e1: float, e2: float, e3: float, e4: float,

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from spinpath.analysis import (
 )
 from spinpath.chsh import s_polar_max
 from spinpath.experiment import (
+    EstimationError,
     ExperimentConfig,
     Interferogram,
     simulate_beam_block,
@@ -296,16 +298,20 @@ def _polar_fits(seed, index, gamma):
     return analysis._polar_curves(measurement, deltas)
 
 
+def _model_pair(plus, minus):
+    """E(b) of a curve pair read off the fitted models at an angle b and at
+    its antipode."""
+    def expectation(b):
+        v_pp, v_pm = plus.model(b), plus.model(b + math.pi)
+        v_mp, v_mm = minus.model(b), minus.model(b + math.pi)
+        return (v_pp - v_pm - v_mp + v_mm) / (v_pp + v_pm + v_mp + v_mm)
+    return expectation
+
+
 def _fitted_expectations(z_plus, z_minus, x_plus, x_minus):
     """E_z and E_x read off the fitted models, each curve pair at an angle
     and at its antipode."""
-    def pair(plus, minus):
-        def expectation(b):
-            v_pp, v_pm = plus.model(b), plus.model(b + math.pi)
-            v_mp, v_mm = minus.model(b), minus.model(b + math.pi)
-            return (v_pp - v_pm - v_mp + v_mm) / (v_pp + v_pm + v_mp + v_mm)
-        return expectation
-    return pair(z_plus, z_minus), pair(x_plus, x_minus)
+    return _model_pair(z_plus, z_minus), _model_pair(x_plus, x_minus)
 
 
 def _fitted_surface(*curves):
@@ -375,13 +381,103 @@ def test_polar_projection_curves_match_fit_models():
     _, _, x_plus, x_minus = analysis._polar_curves(measurement, deltas)
     for chi, curve in ((0.0, x_plus), (math.pi, x_minus)):
         values = [float(fit.model(chi)) for fit in measurement.fits]
-        variances = [fit.model_covariance(chi, chi) for fit in measurement.fits]
+        g = np.array([1.0, math.cos(chi), math.sin(chi)])
+        variances = [g @ fit.covariance @ g for fit in measurement.fits]
         want = fit_sinusoid_xy(deltas, np.array(values), np.array(variances))
         abc = np.array(want.abc())
         assert np.max(np.abs(np.array(curve.abc()) - abc)) <= \
             1e-13 * np.max(np.abs(abc))
         assert np.max(np.abs(curve.covariance - want.covariance)) <= \
             1e-13 * np.max(np.abs(want.covariance))
+
+
+# ---------------------------------------------------------------------------
+# expectation of a curve pair read at an angle and at its antipode
+# ---------------------------------------------------------------------------
+
+def _slot_expectation(plus, minus, b):
+    """E and sigma from the four model values (plus(b), plus(b + pi),
+    minus(b), minus(b + pi)) and their 4 x 4 covariance, in which readings
+    of the same fit share its parameter covariance."""
+    slots = [(plus, b), (plus, b + math.pi), (minus, b), (minus, b + math.pi)]
+    values = np.array([float(fit.model(x)) for fit, x in slots])
+    grads = [np.array([1.0, math.cos(x), math.sin(x)]) for _, x in slots]
+    cov = np.zeros((4, 4))
+    for i, (fit_i, _) in enumerate(slots):
+        for j, (fit_j, _) in enumerate(slots):
+            if fit_i is fit_j:
+                cov[i, j] = grads[i] @ fit_i.covariance @ grads[j]
+    signs = np.array([1.0, -1.0, -1.0, 1.0])
+    total = values.sum()
+    e = signs @ values / total
+    jac = (signs - e) / total
+    return e, math.sqrt(jac @ cov @ jac)
+
+
+def _check_pair(plus, minus):
+    oracle = _model_pair(plus, minus)
+    for b in np.linspace(-math.pi, math.pi, 13):
+        e, sigma = analysis._pair_expectation(plus, minus, b)
+        want_e, want_sigma = _slot_expectation(plus, minus, b)
+        assert e == pytest.approx(float(oracle(b)), rel=1e-13, abs=1e-15)
+        assert e == pytest.approx(want_e, rel=1e-13, abs=1e-15)
+        assert sigma == pytest.approx(want_sigma, rel=1e-13, abs=0.0)
+        assert sigma > 0.0
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("normalize", [False, True])
+def test_pair_expectation_on_bell_fit_pairs(seed, exact, normalize):
+    measurement = analysis._BellMeasurement(
+        ExperimentConfig(seed=seed), 0.3,
+        analysis._bell_deltas(math.pi / 4.0, 3.0 * math.pi / 4.0),
+        exact=exact, normalize_contrast=normalize)
+    fits = measurement.fits
+    _check_pair(fits[0], fits[1])
+    _check_pair(fits[2], fits[3])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 5])
+def test_pair_expectation_on_polar_curve_pairs(seed):
+    z_plus, z_minus, x_plus, x_minus = _polar_fits(seed, 2, math.pi / 3.0)
+    _check_pair(z_plus, z_minus)
+    _check_pair(x_plus, x_minus)
+
+
+def _exact_pair_variance(plus, minus, b):
+    """sigma**2 of the pair expectation in rational arithmetic, from the
+    fitted parameters and covariances taken as exact."""
+    cos_b, sin_b = Fraction(math.cos(b)), Fraction(math.sin(b))
+    (a_p, b_p, c_p), (a_m, b_m, c_m) = ([Fraction(v) for v in fit.abc()]
+                                        for fit in (plus, minus))
+    total = a_p + a_m
+    e = ((b_p - b_m) * cos_b + (c_p - c_m) * sin_b) / total
+    var = Fraction(0)
+    for sign, fit in ((1, plus), (-1, minus)):
+        g = [-e / total, sign * cos_b / total, sign * sin_b / total]
+        cov = [[Fraction(v) for v in row] for row in fit.covariance.tolist()]
+        var += sum(g[i] * cov[i][j] * g[j] for i in range(3) for j in range(3))
+    return var
+
+
+@pytest.mark.parametrize("seed", [2, 9])
+def test_pair_sigma_keeps_precision_where_a_reading_is_pinned(seed):
+    # the beam-block curves pass near zero counts at 0 or pi, so their
+    # readings there vary thousands of times less than the fitted
+    # parameters; the polar maximum often lands on these endpoints
+    z_plus, z_minus, _, _ = _polar_fits(seed, 2, math.pi / 3.0)
+    for b in (0.0, math.pi):
+        _, sigma = analysis._pair_expectation(z_plus, z_minus, b)
+        want = math.sqrt(_exact_pair_variance(z_plus, z_minus, b))
+        assert sigma == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+def test_pair_expectation_requires_positive_total():
+    for plus, minus in ((flat_fit(0.0, 0.0, 0.0), flat_fit(0.0, 0.0, 0.0)),
+                        (flat_fit(-2.0, 0.0, 0.0), flat_fit(1.0, 0.5, 0.3))):
+        with pytest.raises(EstimationError):
+            analysis._pair_expectation(plus, minus, 0.4)
 
 
 # ---------------------------------------------------------------------------

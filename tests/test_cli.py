@@ -233,6 +233,15 @@ def test_missing_delta_names_it(tmp_path, capsys):
      "gamma"),
     (["scan-polar", "--exact", "--gamma-list", "0", "--delta-step", "nan"],
      "delta_step"),
+    (["surface", "--gamma", "abc"], "gamma"),
+    (["scan-polar", "--exact", "--gamma-list", "0,abc"], "gamma_list"),
+    (["scan-polar", "--exact", "--gamma-list", "0", "--delta-step", "xyz"],
+     "delta_step"),
+    (["simulate", "--exact", "--delta", "1", "--gamma", "0", "--theta", "abc"],
+     "theta"),
+    (["simulate", "--exact", "--delta", "1", "--gamma", "0",
+      "--dyn-offset", "1foo"], "dyn_offset"),
+    (["beam-block", "--blocked-path", "I", "--gamma", "", "--exact"], "gamma"),
 ])
 def test_zero_sizes_are_rejected_not_defaulted(tmp_path, capsys, argv, field):
     out = tmp_path / "x"
@@ -250,3 +259,47 @@ def test_zero_step_from_config_file_is_rejected(tmp_path, capsys):
                  "--config", str(config), "--out", str(tmp_path / "x")])
     assert code != 0
     assert "delta_step" in capsys.readouterr().err
+
+
+_SIMULATE = ["simulate", "--exact", "--delta", "1", "--gamma", "0.5"]
+_AZIMUTHAL = ["scan-azimuthal", "--exact", "--gamma-list", "0"]
+
+
+@pytest.mark.parametrize("line,argv", [
+    # unparsable values
+    ("measure_time = abc", _SIMULATE),
+    ("chi_points = abc", _SIMULATE),
+    ("gamma_points = x", ["analytic"]),
+    # integer fields take integers only
+    ("seed = 1.5", _SIMULATE),
+    ("chi_points = 16.9", _SIMULATE),
+    ("chi_periods = 2.5", _AZIMUTHAL),
+    ("delta_points = 3.5", ["beam-block", "--exact", "--blocked-path", "I"]),
+    ("gamma_points = 4.5", ["analytic"]),
+    # flags take true or false only
+    ("exact = False", ["scan-azimuthal", "--gamma-list", "0"]),
+    ("normalize_contrast = 1", _AZIMUTHAL),
+    ("flipper_on = no", ["simulate", "--exact", "--delta", "1", "--gamma", "0"]),
+    # numbers and angles are not booleans
+    ("visibility = true", _SIMULATE),
+    ("max_rate = false", _SIMULATE),
+    ("theta = true", _SIMULATE),
+    ("gamma_list = true", ["analytic"]),
+])
+def test_config_file_values_are_not_coerced(tmp_path, capsys, line, argv):
+    config = tmp_path / "run.cfg"
+    config.write_text(line + "\n", encoding="utf-8")
+    out = tmp_path / "x"
+    code = main(argv + ["--config", str(config), "--out", str(out)])
+    assert code == 2
+    assert line.split(" = ")[0] in capsys.readouterr().err
+    assert not (out / "manifest.txt").exists()
+
+
+def test_integral_float_counts_are_accepted(tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text("chi_points = 16.0\nseed = 3.0\n", encoding="utf-8")
+    out = tmp_path / "x"
+    assert main(_SIMULATE + ["--config", str(config), "--out", str(out)]) == 0
+    manifest = parse_kv((out / "manifest.txt").read_text(encoding="utf-8"))
+    assert (manifest["chi_points"], manifest["seed"]) == (16, 3)

@@ -11,7 +11,6 @@ from spinpath.experiment import (
     ExperimentConfig,
     counts_to_expectation,
     default_chi_grid,
-    expectation_from_values,
     format_kv,
     parse_kv,
     rate_grid,
@@ -373,11 +372,6 @@ def test_poisson_sigma_hand_value():
     # e = 0 at (n, n, n, n): sigma = sqrt(4 * n) / (4 n) = 1 / (2 sqrt(n))
     _, sigma = counts_to_expectation((100, 100, 100, 100))
     assert sigma == pytest.approx(0.05, abs=1e-12)
-
-
-def test_expectation_from_values_requires_positive_total():
-    with pytest.raises(EstimationError):
-        expectation_from_values([0.0, 0.0, 0.0, 0.0], np.zeros((4, 4)))
 
 
 @pytest.mark.parametrize("es,expected", [
