@@ -3,9 +3,14 @@
 The pipeline mirrors the measurement procedure: fringe scans are fitted
 with a single sinusoid, a flipper-off reference run pins the phase zero of
 each fit, beam-block counts supply the +-z path terms, and the four
-resulting expectation values combine into S.  Every fitted expectation
-(the +-x path terms, and the polar scan's analyzer-curve terms) reads a
-pair of fits at an angle b and at b + pi, which leaves one harmonic,
+resulting expectation values combine into S.  fit_sinusoid_xy fits a whole
+stack of runs in one vectorized QR, so a Bell estimate or an azimuthal scan
+fits all its fringe and reference runs in one call, and a polar scan takes
+two calls (the runs, then the analyzer-angle curves of every gamma).
+
+Every fitted expectation (the +-x path terms, and the polar scan's
+analyzer-curve terms) reads a pair of fits at an angle b and at b + pi,
+which leaves one harmonic,
 E(b) = ((b+ - b-) cos b + (c+ - c-) sin b) / (a+ + a-).  The polar scan
 takes the exact maximum of its S surface from two such harmonics; the
 azimuthal scan reads the compensating azimuth off the fitted fringe phase.
@@ -29,6 +34,7 @@ from .experiment import (
     ExperimentConfig,
     Interferogram,
     counts_to_expectation,
+    finite_values,
     reference_run,
     s_from_expectations,
     simulate_beam_block,
@@ -97,88 +103,128 @@ class SinusoidFit:
         return num / (amp_sq * amp_sq)
 
 
-def _gram_schmidt(columns: np.ndarray) -> tuple:
-    """Thin QR factorization of the k columns stored as the rows of
-    ``columns`` (k x n), by Gram-Schmidt with one full reorthogonalization
-    pass, which keeps Q orthonormal to rounding for the condition numbers
-    met here (about 142 for a Poisson-weighted half-period design).
+def _check_rows(bad: np.ndarray, message: str, single: bool) -> None:
+    """Raise FitError(message), naming the first row flagged in bad unless
+    the fit was called on a single run."""
+    if bad.any():
+        raise FitError(message if single else f"row {int(np.argmax(bad))}: {message}")
 
-    Returns (q, r): the orthonormal columns as a list of rows and the k x k
-    upper-triangular factor.  Raises FitError when a column depends on the
-    previous ones to within rounding, the rank criterion of a least-squares
-    solver (max(n, k) * eps of the largest column norm).
+
+def _gram_schmidt(columns: np.ndarray, single: bool) -> tuple:
+    """Thin QR factorizations of a stack of designs: ``columns`` (K x k x n)
+    holds each design's k columns as rows.  Gram-Schmidt with one full
+    reorthogonalization pass keeps Q orthonormal to rounding for the
+    condition numbers met here (about 142 for a Poisson-weighted
+    half-period design).
+
+    Returns (q, r): the orthonormal columns (K x k x n) and the
+    upper-triangular factors (K x k x k).  Raises FitError when a column of
+    some design depends on its previous ones to within rounding, the rank
+    criterion of a least-squares solver (max(n, k) * eps of that design's
+    largest column norm).
     """
-    k, n = columns.shape
-    norms = [math.sqrt(float(v @ v)) for v in columns]
-    tol = max(n, k) * np.finfo(float).eps * max(norms)
-    q = []
-    r = np.zeros((k, k))
-    for j, v in enumerate(columns):
+    runs, k, n = columns.shape
+    norms = np.sqrt(np.sum(columns * columns, axis=-1))
+    tol = max(n, k) * np.finfo(float).eps * norms.max(axis=-1)
+    q = np.empty_like(columns)
+    r = np.zeros((runs, k, k))
+    for j in range(k):
+        v = columns[:, j]
         for _ in range(2):
-            for i, q_i in enumerate(q):
-                h = float(q_i @ v)
-                v = v - h * q_i
-                r[i, j] += h
-        norm = math.sqrt(float(v @ v))
-        if not norm > tol:
-            raise FitError("rank-deficient design (abscissae do not span a fringe)")
-        r[j, j] = norm
-        q.append(v / norm)
+            for i in range(j):
+                h = np.sum(q[:, i] * v, axis=-1)
+                v = v - h[:, None] * q[:, i]
+                r[:, i, j] += h
+        norm = np.sqrt(np.sum(v * v, axis=-1))
+        _check_rows(~(norm > tol),
+                    "rank-deficient design (abscissae do not span a fringe)",
+                    single)
+        r[:, j, j] = norm
+        q[:, j] = v / norm[:, None]
     return q, r
 
 
 def _upper_inverse(r: np.ndarray) -> np.ndarray:
-    """Inverse of a 3x3 upper-triangular matrix by back substitution."""
-    (a, b, c), (_, d, e), (_, _, f) = r.tolist()
-    return np.array([
-        [1.0 / a, -b / (a * d), (b * e - c * d) / (a * d * f)],
-        [0.0, 1.0 / d, -e / (d * f)],
-        [0.0, 0.0, 1.0 / f],
-    ])
+    """Inverses of a stack of 3x3 upper-triangular matrices by back
+    substitution."""
+    a, b, c = r[:, 0, 0], r[:, 0, 1], r[:, 0, 2]
+    d, e, f = r[:, 1, 1], r[:, 1, 2], r[:, 2, 2]
+    inv = np.zeros_like(r)
+    inv[:, 0, 0] = 1.0 / a
+    inv[:, 0, 1] = -b / (a * d)
+    inv[:, 0, 2] = (b * e - c * d) / (a * d * f)
+    inv[:, 1, 1] = 1.0 / d
+    inv[:, 1, 2] = -e / (d * f)
+    inv[:, 2, 2] = 1.0 / f
+    return inv
 
 
-def fit_sinusoid_xy(x, y, variances) -> SinusoidFit:
-    """Weighted least squares of y = a + b*cos(x) + c*sin(x).
+def fit_sinusoid_xy(x, y, variances) -> SinusoidFit | list:
+    """Weighted least squares of y = a + b*cos(x) + c*sin(x), one run or a
+    stack of runs at once.
 
-    variances are per-point; the fit minimizes sum((y - model)^2 / var).
-    The weighted design is factored as QR (two-pass Gram-Schmidt), so the
-    coefficients are R^-1 Q^T (y / sigma) and their covariance R^-1 R^-T;
-    unlike the normal equations this keeps the rounding error proportional
-    to the design's condition number, not its square.  Raises FitError when
-    the design is rank deficient (fewer than three independent abscissae).
+    y and variances have shape (n,) for one run, which returns one
+    SinusoidFit, or (K, n) for K runs, which returns a list of K fits in
+    row order; x has shape (n,), shared by every run, or the shape of y.
+    Each run is fitted on its own: the fit minimizes
+    sum((y - model)^2 / var) over that run's points.  The weighted design
+    is factored as QR (two-pass Gram-Schmidt, vectorized over the runs), so
+    the coefficients are R^-1 Q^T (y / sigma) and their covariance
+    R^-1 R^-T; unlike the normal equations this keeps the rounding error
+    proportional to the design's condition number, not its square.
+
+    Checked per run: at least 3 points, positive variances, a design of
+    full rank (fewer than three independent abscissae fail the rank
+    criterion of _gram_schmidt) and a positive fitted mean unless the
+    fitted amplitude is zero (an all-zero run fits to visibility 0).  Any
+    failure raises FitError; for a stack its message starts with the index
+    of the first failing row.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     var = np.asarray(variances, dtype=float)
-    if x.shape != y.shape or x.shape != var.shape:
-        raise FitError("x, y and variances must have equal length")
-    if x.size < 3:
+    if (y.ndim not in (1, 2) or var.shape != y.shape
+            or x.shape not in (y.shape, y.shape[-1:])):
+        raise FitError("y and variances must share one shape, (n,) or (K, n), "
+                       "and x must have shape (n,) or that shape")
+    single = y.ndim == 1
+    y, var = np.atleast_2d(y), np.atleast_2d(var)
+    if y.shape[1] < 3:
         raise FitError("need at least 3 points to fit a sinusoid")
-    if np.any(var <= 0.0):
-        raise FitError("variances must be positive")
+    _check_rows(np.any(var <= 0.0, axis=1), "variances must be positive",
+                single)
 
-    design = np.array([np.ones_like(x), np.cos(x), np.sin(x)])
+    design = np.stack([np.ones_like(x), np.cos(x), np.sin(x)], axis=-2)
     weight = 1.0 / np.sqrt(var)
-    q, r = _gram_schmidt(design * weight)
+    q, r = _gram_schmidt(design * weight[:, None, :], single)
     r_inv = _upper_inverse(r)
-    wy = y * weight
-    coef = r_inv @ np.array([float(q_i @ wy) for q_i in q])
-    covariance = r_inv @ r_inv.T
-    residual = y - coef @ design
-    chi2 = float(np.sum(residual * residual / var))
+    projections = np.sum(q * (y * weight)[:, None, :], axis=-1)
+    coef = (r_inv @ projections[:, :, None])[:, :, 0]
+    covariance = r_inv @ r_inv.transpose(0, 2, 1)
+    residual = y - (coef[:, None, :] @ design)[:, 0, :]
+    chi2 = np.sum(residual * residual / var, axis=-1)
+    flat = (coef[:, 1] == 0.0) & (coef[:, 2] == 0.0)
+    _check_rows(~flat & (coef[:, 0] <= 0.0),
+                "fitted mean must be positive for count data", single)
 
-    a, b, c = coef.tolist()
-    amplitude = math.hypot(b, c)
-    phase = math.atan2(-c, b)
-    if amplitude == 0.0:
-        visibility = 0.0
-    elif a <= 0.0:
-        raise FitError("fitted mean must be positive for count data")
-    else:
-        visibility = amplitude / a
-    return SinusoidFit(mean=a, amplitude=amplitude, phase=phase,
-                       visibility=visibility, covariance=covariance,
-                       residual_chi2=chi2)
+    fits = []
+    for (a, b, c), cov, row_chi2 in zip(coef.tolist(), covariance,
+                                        chi2.tolist()):
+        amplitude = math.hypot(b, c)
+        fits.append(SinusoidFit(
+            mean=a, amplitude=amplitude, phase=math.atan2(-c, b),
+            visibility=amplitude / a if amplitude != 0.0 else 0.0,
+            covariance=cov, residual_chi2=row_chi2))
+    return fits[0] if single else fits
+
+
+def _fit_counts(chi, counts):
+    """Poisson-weighted sinusoid fits (weights 1/max(count, 1)) of one scan,
+    counts of shape (n,), or of a stack of scans sharing chi, (K, n)."""
+    counts = np.asarray(counts, dtype=float)
+    if counts.ndim == 0 or counts.shape[-1] < 5:
+        raise FitError("need at least 5 scan points to fit an interferogram")
+    return fit_sinusoid_xy(chi, counts, np.maximum(counts, 1.0))
 
 
 def fit_sinusoid(gram: Interferogram) -> SinusoidFit:
@@ -187,10 +233,7 @@ def fit_sinusoid(gram: Interferogram) -> SinusoidFit:
     Expects at least 5 points spanning a full fringe period; noiseless
     model data is recovered exactly.
     """
-    counts = np.asarray(gram.counts, dtype=float)
-    if counts.size < 5:
-        raise FitError("need at least 5 scan points to fit an interferogram")
-    return fit_sinusoid_xy(gram.chi_values, counts, np.maximum(counts, 1.0))
+    return _fit_counts(gram.chi_values, gram.counts)
 
 
 def _transform_fit(fit: SinusoidFit, scale: float, phase_shift: float,
@@ -294,78 +337,98 @@ def _pair_expectation(plus: SinusoidFit, minus: SinusoidFit, b: float) -> tuple:
 
 
 class _BellMeasurement:
-    """One full set of counting runs at a list of spin-analysis angles:
-    beam-block runs for the +-z path terms and calibrated fringe fits (with
-    their references) for the +-x path terms.  For an S estimate the angles
-    are (beta1, beta1 + pi, beta1', beta1' + pi)."""
+    """Full sets of counting runs, one per geometric phase in gammas, at a
+    list of spin-analysis angles: beam-block runs for the +-z path terms and
+    calibrated fringe fits (with their references) for the +-x path terms.
+    For an S estimate the angles are (beta1, beta1 + pi, beta1', beta1' + pi).
 
-    def __init__(self, config: ExperimentConfig, gamma: float, deltas,
+    The runs at position ig of gammas draw from the streams keyed
+    (base_stream + ig, kind, ...).  Every fringe and reference run of the
+    whole list is fitted in one stacked fit_sinusoid_xy call; fits and
+    references hold the calibrated fringe fits and the reference fits in
+    (gamma, delta) order.
+    """
+
+    def __init__(self, config: ExperimentConfig, gammas, deltas,
                  chi_grid=None, exact: bool = False,
                  normalize_contrast: bool = False, base_stream: int = 0):
-        self.gamma = float(gamma)
-        self.block_plus = simulate_beam_block(
-            config, deltas, gamma, "II", stream=(base_stream, 0), exact=exact)
-        self.block_minus = simulate_beam_block(
-            config, deltas, gamma, "I", stream=(base_stream, 1), exact=exact)
+        self.n_delta = len(deltas)
+        self.block_plus, self.block_minus, runs = [], [], []
+        for ig, gamma in enumerate(gammas):
+            stream = base_stream + ig
+            self.block_plus.append(simulate_beam_block(
+                config, deltas, gamma, "II", stream=(stream, 0), exact=exact))
+            self.block_minus.append(simulate_beam_block(
+                config, deltas, gamma, "I", stream=(stream, 1), exact=exact))
+            for i, delta in enumerate(deltas):
+                runs.append(simulate_interferogram(
+                    config, delta, gamma, chi_grid, stream=(stream, 2, i),
+                    exact=exact))
+                runs.append(reference_run(
+                    config, delta, chi_grid, stream=(stream, 3, i),
+                    exact=exact))
 
+        fits = _fit_counts(runs[0].chi_values, [run.counts for run in runs])
+        self.references = fits[1::2]
         self.fits = []
-        self.references = []
-        for i, delta in enumerate(deltas):
-            gram = simulate_interferogram(
-                config, delta, gamma, chi_grid,
-                stream=(base_stream, 2, i), exact=exact)
-            ref = reference_run(
-                config, delta, chi_grid,
-                stream=(base_stream, 3, i), exact=exact)
-            fit = fit_sinusoid(gram)
-            ref_fit = fit_sinusoid(ref)
-            if normalize_contrast:
-                fit = normalize_by_reference(fit, ref_fit)
-            else:
-                fit = calibrate_phase(fit, ref_fit)
-            self.fits.append(fit)
-            self.references.append(ref_fit)
+        for fit, ref, run in zip(fits[0::2], self.references, runs[1::2]):
+            if not normalize_contrast:
+                self.fits.append(calibrate_phase(fit, ref))
+                continue
+            try:
+                self.fits.append(normalize_by_reference(fit, ref))
+            except NormalizationError as exc:
+                raise NormalizationError(
+                    f"normalize_contrast: flipper-off reference at delta = "
+                    f"{run.delta!r}: {exc}") from exc
 
-    @property
-    def fitted_phase(self) -> float:
-        """Calibrated fringe phase at the first spin angle; equals the
-        geometric phase (mod 2*pi) for an ideal run."""
-        return self.fits[0].phase
+    def fitted_phase(self, ig: int) -> float:
+        """Calibrated fringe phase at the first spin angle of gamma index
+        ig; equals the geometric phase (mod 2*pi) for an ideal run."""
+        return self.fits[ig * self.n_delta].phase
 
-    @property
-    def phase_sigma(self) -> float:
-        var = self.fits[0].phase_variance() + self.references[0].phase_variance()
+    def phase_sigma(self, ig: int) -> float:
+        k = ig * self.n_delta
+        var = self.fits[k].phase_variance() + self.references[k].phase_variance()
         return math.sqrt(var)
 
-    def expectation_z(self, which: int) -> tuple:
-        """Path +-z expectation for spin angle index 0 (beta1) or 1 (beta1')."""
+    def expectation_z(self, ig: int, which: int) -> tuple:
+        """Path +-z expectation at gamma index ig for spin angle index 0
+        (beta1) or 1 (beta1')."""
         lo = 2 * which
-        values = [
-            self.block_plus.counts[lo], self.block_plus.counts[lo + 1],
-            self.block_minus.counts[lo], self.block_minus.counts[lo + 1],
-        ]
-        return counts_to_expectation(values)
+        plus, minus = self.block_plus[ig].counts, self.block_minus[ig].counts
+        return counts_to_expectation(
+            [plus[lo], plus[lo + 1], minus[lo], minus[lo + 1]])
 
-    def expectation_x(self, which: int, alpha2p: float) -> tuple:
-        """Path +-x expectation at azimuth alpha2p for spin angle index
-        0 or 1; the fringe fits are read out at the phase-shifter positions
-        chi = -alpha2p (path +) and pi - alpha2p (path -)."""
-        return _pair_expectation(self.fits[2 * which], self.fits[2 * which + 1],
-                                 -alpha2p)
+    def expectation_x(self, ig: int, which: int, alpha2p: float) -> tuple:
+        """Path +-x expectation at gamma index ig and azimuth alpha2p for
+        spin angle index 0 or 1; the fringe fits are read out at the
+        phase-shifter positions chi = -alpha2p (path +) and pi - alpha2p
+        (path -)."""
+        k = ig * self.n_delta + 2 * which
+        return _pair_expectation(self.fits[k], self.fits[k + 1], -alpha2p)
 
-    def s_at(self, alpha2p: float) -> tuple:
-        """S and its error with the second path direction at azimuth
-        alpha2p."""
-        e1, s1 = self.expectation_z(0)
-        e2, s2 = self.expectation_z(1)
-        e3, s3 = self.expectation_x(0, alpha2p)
-        e4, s4 = self.expectation_x(1, alpha2p)
+    def s_at(self, ig: int, alpha2p: float) -> tuple:
+        """S and its error at gamma index ig with the second path direction
+        at azimuth alpha2p."""
+        e1, s1 = self.expectation_z(ig, 0)
+        e2, s2 = self.expectation_z(ig, 1)
+        e3, s3 = self.expectation_x(ig, 0, alpha2p)
+        e4, s4 = self.expectation_x(ig, 1, alpha2p)
         return s_from_expectations(e1, e2, e3, e4, (s1, s2, s3, s4))
 
 
 def _bell_deltas(beta1: float, beta1_p: float) -> np.ndarray:
     """Spin-analysis angles of one S estimate."""
     return np.array([beta1, beta1 + math.pi, beta1_p, beta1_p + math.pi])
+
+
+def _gamma_values(gamma_list) -> np.ndarray:
+    """The geometric phases of a scan, finite and at least one."""
+    gamma_values = np.atleast_1d(finite_values("gamma_list", gamma_list))
+    if gamma_values.size == 0:
+        raise ValueError("gamma_list must not be empty")
+    return gamma_values
 
 
 @dataclass(frozen=True)
@@ -392,15 +455,19 @@ def estimate_bell_s(config: ExperimentConfig, gamma: float,
     beta1' + pi) supply the +-z path quadruples; fringe scans plus
     flipper-off references at the same angles supply the +-x projections,
     evaluated at the positions corresponding to the path azimuth alpha2_p.
+    A NaN or infinite angle raises ValueError naming it.
     """
-    measurement = _BellMeasurement(config, gamma, _bell_deltas(beta1, beta1_p),
+    for field, value in (("gamma", gamma), ("beta1", beta1),
+                         ("beta1_p", beta1_p), ("alpha2_p", alpha2_p)):
+        finite_values(field, value)
+    measurement = _BellMeasurement(config, [gamma], _bell_deltas(beta1, beta1_p),
                                    chi_grid, exact, normalize_contrast,
                                    base_stream)
-    s, sigma = measurement.s_at(alpha2_p)
+    s, sigma = measurement.s_at(0, alpha2_p)
     return BellEstimate(s=s, sigma_s=sigma, gamma=float(gamma),
                         alpha2p=float(alpha2_p),
-                        fitted_phase=measurement.fitted_phase,
-                        phase_sigma=measurement.phase_sigma)
+                        fitted_phase=measurement.fitted_phase(0),
+                        phase_sigma=measurement.phase_sigma(0))
 
 
 def default_polar_delta_grid() -> np.ndarray:
@@ -425,23 +492,30 @@ def _harmonic_max(p: float, q: float) -> tuple:
     return (0.0, p) if p >= 0.0 else (math.pi, -p)
 
 
-def _polar_curves(measurement: _BellMeasurement, deltas: np.ndarray) -> tuple:
+def _polar_curves(measurement: _BellMeasurement, deltas: np.ndarray) -> list:
     """Sinusoid fits (z_plus, z_minus, x_plus, x_minus) of the four
-    analyzer-angle curves: the two beam-block curves and the fringe
+    analyzer-angle curves, one tuple per gamma of the measurement, all
+    fitted in one stacked call: the two beam-block curves and the fringe
     projections at chi = 0 and pi, whose values are a +- b of each fringe
     fit and whose variances are cov00 + cov11 +- 2 cov01."""
-    curves = []
-    for scan in (measurement.block_plus, measurement.block_minus):
-        counts = np.asarray(scan.counts, float)
-        curves.append(fit_sinusoid_xy(deltas, counts, np.maximum(counts, 1.0)))
+    n_delta = len(deltas)
     abc = np.array([fit.abc() for fit in measurement.fits])
     cov = np.array([fit.covariance for fit in measurement.fits])
     var = cov[:, 0, 0] + cov[:, 1, 1]
-    for sign in (1.0, -1.0):
-        curves.append(fit_sinusoid_xy(
-            deltas, abc[:, 0] + sign * abc[:, 1],
-            np.maximum(var + sign * 2.0 * cov[:, 0, 1], 1e-12)))
-    return tuple(curves)
+    ys, variances = [], []
+    for ig, (plus, minus) in enumerate(zip(measurement.block_plus,
+                                           measurement.block_minus)):
+        for scan in (plus, minus):
+            counts = np.asarray(scan.counts, float)
+            ys.append(counts)
+            variances.append(np.maximum(counts, 1.0))
+        rows = slice(ig * n_delta, (ig + 1) * n_delta)
+        for sign in (1.0, -1.0):
+            ys.append(abc[rows, 0] + sign * abc[rows, 1])
+            variances.append(np.maximum(
+                var[rows] + sign * 2.0 * cov[rows, 0, 1], 1e-12))
+    curves = fit_sinusoid_xy(deltas, np.array(ys), np.array(variances))
+    return [tuple(curves[i:i + 4]) for i in range(0, len(curves), 4)]
 
 
 def _polar_maximum(z_plus, z_minus, x_plus, x_minus) -> tuple:
@@ -476,12 +550,12 @@ def run_polar_scan(config: ExperimentConfig, gamma_list, delta_grid=None,
     fitted as such; the fitted curves evaluated at any (beta1, beta1')
     produce the S surface, a sum of two harmonics whose maximum and
     maximizing angles follow in closed form and are returned per gamma.
+    The whole scan takes two stacked fits: one of every fringe and
+    reference run, one of every analyzer-angle curve.
     """
-    gamma_values = np.atleast_1d(np.asarray(gamma_list, dtype=float))
-    if gamma_values.size == 0:
-        raise ValueError("gamma_list must not be empty")
+    gamma_values = _gamma_values(gamma_list)
     deltas = (default_polar_delta_grid() if delta_grid is None
-              else np.asarray(delta_grid, dtype=float))
+              else finite_values("delta_grid", delta_grid))
     if deltas.size < 2:
         raise ValueError("delta_grid must contain at least 2 angles")
     if deltas.min() > 1e-9 or deltas.max() < math.pi - 1e-9:
@@ -489,11 +563,11 @@ def run_polar_scan(config: ExperimentConfig, gamma_list, delta_grid=None,
     if np.diff(np.sort(deltas)).max() > math.pi / 8.0 + 1e-9:
         raise ValueError("delta_grid step must be at most pi/8")
 
+    measurement = _BellMeasurement(config, gamma_values, deltas, chi_grid,
+                                   exact, normalize_contrast)
     results = []
-    for ig, gamma in enumerate(gamma_values):
-        measurement = _BellMeasurement(config, gamma, deltas, chi_grid, exact,
-                                       normalize_contrast, base_stream=ig)
-        z_plus, z_minus, x_plus, x_minus = _polar_curves(measurement, deltas)
+    for gamma, curves in zip(gamma_values, _polar_curves(measurement, deltas)):
+        z_plus, z_minus, x_plus, x_minus = curves
         beta1, beta1_p, s_max = _polar_maximum(z_plus, z_minus, x_plus, x_minus)
         sigma_s = math.sqrt(sum(
             _pair_expectation(plus, minus, b)[1] ** 2
@@ -512,24 +586,22 @@ def run_azimuthal_scan(config: ExperimentConfig, gamma_list, chi_grid=None,
 
     For each gamma the compensating azimuth is located via the calibrated
     fringe phase; S is then evaluated both at that azimuth (adjusted) and
-    at zero azimuth (unadjusted), yielding two results per gamma.
+    at zero azimuth (unadjusted), yielding two results per gamma.  Every
+    fringe and reference run of the scan is fitted in one stacked call.
     """
-    gamma_values = np.atleast_1d(np.asarray(gamma_list, dtype=float))
-    if gamma_values.size == 0:
-        raise ValueError("gamma_list must not be empty")
-
+    gamma_values = _gamma_values(gamma_list)
+    measurement = _BellMeasurement(
+        config, gamma_values, _bell_deltas(math.pi / 4.0, 3.0 * math.pi / 4.0),
+        chi_grid, exact, normalize_contrast)
     results = []
     for ig, gamma in enumerate(gamma_values):
-        measurement = _BellMeasurement(
-            config, gamma, _bell_deltas(math.pi / 4.0, 3.0 * math.pi / 4.0),
-            chi_grid, exact, normalize_contrast, base_stream=ig)
-        alpha2p = measurement.fitted_phase
-        s_adj, sigma_adj = measurement.s_at(alpha2p)
-        s_raw, sigma_raw = measurement.s_at(0.0)
+        alpha2p = measurement.fitted_phase(ig)
+        s_adj, sigma_adj = measurement.s_at(ig, alpha2p)
+        s_raw, sigma_raw = measurement.s_at(ig, 0.0)
         results.append(ScanResult(gamma=float(gamma), s=s_adj,
                                   sigma_s=sigma_adj, alpha2p=alpha2p,
                                   method="azimuthal-adjusted",
-                                  angle_sigma=measurement.phase_sigma))
+                                  angle_sigma=measurement.phase_sigma(ig)))
         results.append(ScanResult(gamma=float(gamma), s=s_raw,
                                   sigma_s=sigma_raw, alpha2p=0.0,
                                   method="azimuthal-unadjusted"))

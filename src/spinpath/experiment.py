@@ -197,8 +197,19 @@ def _block_polar(blocked_path: str) -> float:
     return 0.0 if blocked_path == "II" else math.pi
 
 
+def finite_values(field: str, values) -> np.ndarray:
+    """values as a float array, or a ValueError naming the field when one of
+    them is NaN or inf."""
+    array = np.asarray(values, dtype=float)
+    bad = ~np.isfinite(array)
+    if bad.any():
+        raise ValueError(f"{field} must be finite, got {float(array[bad][0])!r}")
+    return array
+
+
 def _chi_values(chi_grid) -> np.ndarray:
-    chi = default_chi_grid() if chi_grid is None else np.asarray(chi_grid, dtype=float)
+    chi = (default_chi_grid() if chi_grid is None
+           else finite_values("chi_grid", chi_grid))
     if chi.size == 0:
         raise ValueError("chi_grid must not be empty")
     return chi

@@ -28,6 +28,7 @@ from spinpath.experiment import (
     EstimationError,
     ExperimentConfig,
     Interferogram,
+    reference_run,
     simulate_beam_block,
     simulate_interferogram,
 )
@@ -124,6 +125,117 @@ def test_fit_matches_lstsq_on_beam_block_design(blocked_path):
         1e-13 * np.max(np.abs(covariance))
 
 
+def _lstsq_fit(x, y, var):
+    """Coefficients and covariance of the weighted fit by LAPACK (lstsq and
+    SVD), the oracle of the Gram-Schmidt QR."""
+    weighted = (np.column_stack([np.ones_like(x), np.cos(x), np.sin(x)])
+                / np.sqrt(var)[:, None])
+    coef = np.linalg.lstsq(weighted, y / np.sqrt(var), rcond=None)[0]
+    _, singular, vt = np.linalg.svd(weighted, full_matrices=False)
+    return coef, (vt.T / singular ** 2) @ vt
+
+
+def _fit_values(fit):
+    return np.concatenate([fit.abc(), fit.covariance.ravel(),
+                           [fit.residual_chi2, fit.visibility]])
+
+
+def _stacks():
+    """Two stacks of runs as one pipeline call fits them: both beam-block
+    designs of the polar grid (exact counts, condition number ~142) plus an
+    all-zero run, and a 32-point Poisson fringe, its reference and the
+    all-zero reference at delta = pi, with the abscissae given per row."""
+    config = ExperimentConfig(seed=4)
+    deltas = default_polar_delta_grid()
+    blocks = [simulate_beam_block(config, deltas, 0.0, path, exact=True).counts
+              for path in ("I", "II")]
+    grams = [simulate_interferogram(config, math.pi / 2, 0.3),
+             reference_run(config, math.pi / 2), reference_run(config, math.pi)]
+    return [
+        (deltas, np.array(blocks + [np.zeros(deltas.size)])),
+        (np.array([g.chi_values for g in grams]),
+         np.array([g.counts for g in grams], dtype=float)),
+    ]
+
+
+@pytest.mark.parametrize("stack", [0, 1])
+def test_stacked_fit_matches_lstsq_and_one_run_fits(stack):
+    x, y = _stacks()[stack]
+    assert not np.any(y[-1])
+    var = np.maximum(y, 1.0)
+    fits = fit_sinusoid_xy(x, y, var)
+    assert len(fits) == y.shape[0]
+    for row, fit in enumerate(fits):
+        x_row = x if x.ndim == 1 else x[row]
+        coef, covariance = _lstsq_fit(x_row, y[row], var[row])
+        scale = max(np.max(np.abs(coef)), 1.0)
+        assert np.max(np.abs(np.array(fit.abc()) - coef)) <= 1e-13 * scale
+        assert np.max(np.abs(fit.covariance - covariance)) <= \
+            1e-13 * np.max(np.abs(covariance))
+        # a row of the stack is the fit of that run alone, bit for bit
+        alone = fit_sinusoid_xy(x_row, y[row], var[row])
+        assert isinstance(alone, SinusoidFit)
+        assert np.array_equal(_fit_values(fit), _fit_values(alone))
+        assert fit.phase == alone.phase
+    assert (fits[-1].amplitude, fits[-1].visibility) == (0.0, 0.0)
+
+
+def test_stacked_fit_names_the_failing_row():
+    x = np.linspace(0.0, 2.0 * math.pi, 9, endpoint=False)
+    y = np.tile(100.0 * (1.0 + 0.5 * np.cos(x)), (4, 1))
+    var = y.copy()
+    bad = var.copy()
+    bad[2, 5] = 0.0
+    with pytest.raises(FitError, match=r"^row 2: variances must be positive"):
+        fit_sinusoid_xy(x, y, bad)
+    # row 1 of a per-row abscissa stack measures a single fringe phase
+    xs = np.tile(x, (4, 1))
+    xs[1] = 1.3
+    with pytest.raises(FitError, match=r"^row 1: rank-deficient design"):
+        fit_sinusoid_xy(xs, y, var)
+    negative = y.copy()
+    negative[3] *= -1.0
+    with pytest.raises(FitError,
+                       match=r"^row 3: fitted mean must be positive"):
+        fit_sinusoid_xy(x, negative, var)
+    with pytest.raises(FitError, match="shape"):
+        fit_sinusoid_xy(x[:-1], y, var)
+    with pytest.raises(FitError, match="at least 3 points"):
+        fit_sinusoid_xy(x[:2], y[:, :2], var[:, :2])
+
+
+def test_each_pipeline_fits_in_stacked_calls(monkeypatch):
+    calls = []
+
+    def counting(*args, _fit=analysis.fit_sinusoid_xy):
+        calls.append(1)
+        return _fit(*args)
+
+    monkeypatch.setattr(analysis, "fit_sinusoid_xy", counting)
+    run_polar_scan(ExperimentConfig(seed=1), default_gamma_grid())
+    assert len(calls) == 2
+    calls.clear()
+    estimate_bell_s(ExperimentConfig(seed=1), 0.3)
+    assert len(calls) == 1
+    calls.clear()
+    run_azimuthal_scan(ExperimentConfig(seed=1), default_gamma_grid())
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_no_lapack_routine_runs_on_the_pipelines(monkeypatch, exact):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a LAPACK routine ran")
+
+    for name in ("inv", "solve", "qr", "lstsq", "svd", "pinv", "cholesky"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
+    config = ExperimentConfig(seed=2)
+    estimate_bell_s(config, 0.3, exact=exact)
+    estimate_bell_s(config, 0.3, exact=exact, normalize_contrast=True)
+    run_polar_scan(config, default_gamma_grid(), exact=exact)
+    run_azimuthal_scan(config, default_gamma_grid(), exact=exact)
+
+
 def test_fit_poisson_visibility_coverage():
     # 1e4 mean counts, V = 0.5: fitted contrast within 3 sigma in >= 99% of
     # seeded trials
@@ -184,8 +296,6 @@ def test_calibrate_phase_keeps_contrast():
 
 
 def test_reference_phase_recovery_from_noiseless_run():
-    from spinpath.experiment import reference_run
-
     config = ExperimentConfig(dyn_offset=0.3)
     ref = reference_run(config, math.pi / 2, exact=True)
     fit = fit_sinusoid(ref)
@@ -294,8 +404,8 @@ def _polar_fits(seed, index, gamma):
     position index of its gamma list."""
     deltas = default_polar_delta_grid()
     measurement = analysis._BellMeasurement(
-        ExperimentConfig(seed=seed), gamma, deltas, base_stream=index)
-    return analysis._polar_curves(measurement, deltas)
+        ExperimentConfig(seed=seed), [gamma], deltas, base_stream=index)
+    return analysis._polar_curves(measurement, deltas)[0]
 
 
 def _model_pair(plus, minus):
@@ -376,9 +486,9 @@ def test_polar_projection_curves_match_fit_models():
     # x curves are fitted to the fringe models at chi = 0 and pi, weighted by
     # the model variances there
     deltas = default_polar_delta_grid()
-    measurement = analysis._BellMeasurement(ExperimentConfig(seed=3), 0.7,
+    measurement = analysis._BellMeasurement(ExperimentConfig(seed=3), [0.7],
                                             deltas)
-    _, _, x_plus, x_minus = analysis._polar_curves(measurement, deltas)
+    _, _, x_plus, x_minus = analysis._polar_curves(measurement, deltas)[0]
     for chi, curve in ((0.0, x_plus), (math.pi, x_minus)):
         values = [float(fit.model(chi)) for fit in measurement.fits]
         g = np.array([1.0, math.cos(chi), math.sin(chi)])
@@ -430,7 +540,7 @@ def _check_pair(plus, minus):
 @pytest.mark.parametrize("normalize", [False, True])
 def test_pair_expectation_on_bell_fit_pairs(seed, exact, normalize):
     measurement = analysis._BellMeasurement(
-        ExperimentConfig(seed=seed), 0.3,
+        ExperimentConfig(seed=seed), [0.3],
         analysis._bell_deltas(math.pi / 4.0, 3.0 * math.pi / 4.0),
         exact=exact, normalize_contrast=normalize)
     fits = measurement.fits
@@ -579,6 +689,44 @@ def test_scan_validation_errors():
     with pytest.raises(ValueError):
         run_polar_scan(config, [0.0],
                        delta_grid=np.linspace(0.0, math.pi / 2, 9))
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("field,call", [
+    pytest.param("gamma", lambda c: estimate_bell_s(c, NAN), id="gamma"),
+    pytest.param("beta1", lambda c: estimate_bell_s(c, 0.0, beta1=math.inf),
+                 id="beta1"),
+    pytest.param("beta1_p", lambda c: estimate_bell_s(c, 0.0, beta1_p=NAN),
+                 id="beta1_p"),
+    pytest.param("alpha2_p", lambda c: estimate_bell_s(c, 0.0, alpha2_p=NAN),
+                 id="alpha2_p"),
+    pytest.param("chi_grid", lambda c: estimate_bell_s(
+        c, 0.0, chi_grid=[0.0, 1.0, NAN, 3.0, 4.0]), id="chi_grid-bell"),
+    pytest.param("gamma_list", lambda c: run_polar_scan(c, [0.0, NAN]),
+                 id="gamma_list-polar"),
+    pytest.param("gamma_list", lambda c: run_polar_scan(c, [NAN], exact=True),
+                 id="gamma_list-polar-exact"),
+    pytest.param("delta_grid", lambda c: run_polar_scan(
+        c, [0.0], delta_grid=np.append(default_polar_delta_grid(), NAN)),
+        id="delta_grid"),
+    pytest.param("chi_grid", lambda c: run_polar_scan(
+        c, [0.0], chi_grid=[-math.inf] * 8), id="chi_grid-polar"),
+    pytest.param("gamma_list", lambda c: run_azimuthal_scan(c, [math.inf]),
+                 id="gamma_list-azimuthal"),
+])
+def test_non_finite_angles_are_rejected_by_name(field, call):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        call(ExperimentConfig())
+
+
+def test_normalize_contrast_names_the_reference_without_contrast():
+    # the flipper-off reference at delta = pi counts nothing in Poisson mode
+    with pytest.raises(NormalizationError,
+                       match=r"^normalize_contrast: .* delta = 3\.14159"):
+        run_polar_scan(ExperimentConfig(seed=3), [0.0],
+                       normalize_contrast=True)
 
 
 def test_scan_result_validation():

@@ -250,6 +250,16 @@ def test_zero_sizes_are_rejected_not_defaulted(tmp_path, capsys, argv, field):
     assert not (out / "manifest.txt").exists()
 
 
+def test_normalize_contrast_failure_names_field_and_delta(tmp_path, capsys):
+    out = tmp_path / "x"
+    code = main(["scan-polar", "--gamma-list", "0", "--normalize-contrast",
+                 "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "normalize_contrast" in err and "delta = 3.14159" in err
+    assert not (out / "manifest.txt").exists()
+
+
 def test_zero_step_from_config_file_is_rejected(tmp_path, capsys):
     # config-file values arrive parsed as numbers, so a zero step must not
     # fall back to the default either
