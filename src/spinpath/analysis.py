@@ -39,6 +39,7 @@ from .experiment import (
     s_from_expectations,
     simulate_beam_block,
     simulate_interferogram,
+    write_csv,
 )
 from .quantum import TWO_PI, wrap_two_pi
 
@@ -531,9 +532,13 @@ def _polar_maximum(z_plus, z_minus, x_plus, x_minus) -> tuple:
     b1p_hi, v_hi = _harmonic_max(px - pz, qx - qz)
     b1_lo, u_lo = _harmonic_max(-px - pz, -qx - qz)
     b1p_lo, v_lo = _harmonic_max(pz - px, qz - qx)
-    if u_hi + v_hi >= u_lo + v_lo:
-        return b1_hi, b1p_hi, u_hi + v_hi
-    return b1_lo, b1p_lo, u_lo + v_lo
+    s_hi, s_lo = u_hi + v_hi, u_lo + v_lo
+    # Where cos(gamma) = 0 the branches tie up to rounding; a gap at that
+    # scale keeps the hi branch, so ulp-level changes in the fits cannot
+    # swap the reported angles between members of the maximizing pair.
+    if s_lo - s_hi <= 1e-12 * abs(s_hi):
+        return b1_hi, b1p_hi, s_hi
+    return b1_lo, b1p_lo, s_lo
 
 
 def run_polar_scan(config: ExperimentConfig, gamma_list, delta_grid=None,
@@ -617,14 +622,10 @@ def write_scan_results(results, path) -> None:
     def cell(value):
         return "" if value is None else repr(float(value))
 
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(SCAN_CSV_HEADER + "\n")
-        for r in results:
-            fh.write(",".join([
-                repr(float(r.gamma)), cell(r.beta1), cell(r.beta1_p),
-                cell(r.alpha2p), repr(float(r.s)), repr(float(r.sigma_s)),
-                r.method,
-            ]) + "\n")
+    write_csv(path, SCAN_CSV_HEADER, (
+        (repr(float(r.gamma)), cell(r.beta1), cell(r.beta1_p), cell(r.alpha2p),
+         repr(float(r.s)), repr(float(r.sigma_s)), r.method)
+        for r in results))
 
 
 def read_scan_results(path) -> list:

@@ -336,7 +336,8 @@ def _parse_value(text: str):
 
 
 def parse_kv(text: str) -> dict:
-    """Inverse of format_kv; unknown value shapes stay strings."""
+    """Inverse of format_kv; unknown value shapes stay strings and a
+    repeated key is a ValueError naming it."""
     out = {}
     for line in text.splitlines():
         line = line.strip()
@@ -345,7 +346,10 @@ def parse_kv(text: str) -> dict:
         key, _, value = line.partition("=")
         if not _:
             raise ValueError(f"malformed key = value line: {line!r}")
-        out[key.strip()] = _parse_value(value)
+        key = key.strip()
+        if key in out:
+            raise ValueError(f"duplicate key {key!r}")
+        out[key] = _parse_value(value)
     return out
 
 
@@ -366,11 +370,17 @@ def _format_count(value) -> str:
     return repr(float(value))
 
 
-def _write_scan_csv(path, header: str, x_values, counts) -> None:
+def write_csv(path, header: str, rows) -> None:
+    """Write a header line and one line per row of text cells (UTF-8, LF)."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
-        for x, c in zip(x_values, counts):
-            fh.write(f"{repr(float(x))},{_format_count(c)}\n")
+        for row in rows:
+            fh.write(",".join(row) + "\n")
+
+
+def _write_scan_csv(path, header: str, x_values, counts) -> None:
+    write_csv(path, header, ((repr(float(x)), _format_count(c))
+                             for x, c in zip(x_values, counts)))
 
 
 def _read_scan_csv(path, header: str) -> tuple:

@@ -466,6 +466,23 @@ def test_polar_maximum_against_grid_search_and_brute_force():
     assert trapped > 0
 
 
+
+@pytest.mark.parametrize("gap,branch", [
+    (0, "hi"), (1, "hi"),  # a tie, and lo ahead by one ulp: rounding
+    (2 ** 23, "lo"),       # lo ahead by ~3.7e-9, far above rounding
+])
+def test_polar_maximum_resolves_rounding_ties_to_hi(monkeypatch, gap, branch):
+    # the hi branch sums to 2.0, the lo branch to 2.0 plus gap ulps
+    lo = 1.0 + gap * 2.0 * np.finfo(float).eps
+    maxima = iter([(0.1, 1.0), (0.2, 1.0), (0.3, 1.0), (0.4, lo)])
+    monkeypatch.setattr(analysis, "_pair_harmonic",
+                        lambda plus, minus: (0.0, 0.0, 1.0))
+    monkeypatch.setattr(analysis, "_harmonic_max", lambda p, q: next(maxima))
+    assert 1.0 + lo - 2.0 == gap * np.spacing(2.0)
+    want = (0.1, 0.2, 2.0) if branch == "hi" else (0.3, 0.4, 1.0 + lo)
+    assert analysis._polar_maximum(None, None, None, None) == want
+
+
 def test_polar_scan_escapes_grid_search_trap():
     # seed 0 at gamma = pi/2 (index 3 of the default grid): the grid search
     # stopped at 2.0000051 on a fitted surface whose maximum is 2.0000347

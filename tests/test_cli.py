@@ -1,8 +1,12 @@
 import math
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from spinpath import cli
 from spinpath.cli import main, parse_angle, parse_angle_list
 from spinpath.analysis import read_scan_results
 from spinpath.chsh import polar_optimal_angles, s_polar, s_polar_max
@@ -313,3 +317,125 @@ def test_integral_float_counts_are_accepted(tmp_path):
     assert main(_SIMULATE + ["--config", str(config), "--out", str(out)]) == 0
     manifest = parse_kv((out / "manifest.txt").read_text(encoding="utf-8"))
     assert (manifest["chi_points"], manifest["seed"]) == (16, 3)
+
+
+# ---------------------------------------------------------------------------
+# config keys are checked against the subcommand
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("text,argv,key", [
+    # unknown keys (misspelled fields)
+    ("visibilty = 0.5\n", _AZIMUTHAL, "visibilty"),
+    ("mesure_time = 1\n", _AZIMUTHAL, "mesure_time"),
+    ("out = elsewhere\n", _SIMULATE, "out"),
+    # keys of another subcommand
+    ("delta_step = 0.3\n", _AZIMUTHAL, "delta_step"),
+    ("flipper_on = true\n", ["beam-block", "--exact", "--blocked-path", "I"],
+     "flipper_on"),
+    ("s_max = 2.0\n", _SIMULATE, "s_max"),
+    ("gamma = 1\n", ["analytic"], "gamma"),
+    # a kind other than the subcommand's
+    ("kind = polar-scan\n", _AZIMUTHAL, "kind"),
+    ("kind = simulate\n", _SIMULATE, "kind"),
+    # the scans take gamma_list only
+    ("gamma_points = 5\n", ["scan-polar", "--exact"], "gamma_points"),
+    ("gamma_points = 5\n", ["scan-azimuthal", "--exact"], "gamma_points"),
+    # a key given twice
+    ("visibility = 0.5\nvisibility = 0.9\n", _SIMULATE, "visibility"),
+    # both gamma sources in one file
+    ("gamma_points = 5\ngamma_list = 0\n", ["analytic"], "gamma_points"),
+])
+def test_config_key_rules_exit_2_by_name(tmp_path, capsys, text, argv, key):
+    config = tmp_path / "run.cfg"
+    config.write_text(text, encoding="utf-8")
+    out = tmp_path / "x"
+    code = main(argv + ["--config", str(config), "--out", str(out)])
+    assert code == 2
+    assert key in capsys.readouterr().err
+    assert not (out / "manifest.txt").exists()
+
+
+def test_readme_manifests_fail_on_every_other_subcommand(tmp_path, capsys,
+                                                         monkeypatch):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    manifests = []
+    for line in re.findall(r"^spinpath .*$", readme, re.MULTILINE):
+        argv = shlex.split(line)[1:]
+        assert main(argv) == 0, line
+        manifests.append((argv[0], Path(argv[argv.index("--out") + 1])
+                          / "manifest.txt"))
+    assert {command for command, _ in manifests} == set(_OPTIONS)
+    for command, manifest in manifests:
+        for other in set(_OPTIONS) - {command}:
+            out = tmp_path / "other"
+            assert main([other, "--config", str(manifest),
+                         "--out", str(out)]) == 2, (command, other)
+            assert "kind" in capsys.readouterr().err
+            assert not (out / "manifest.txt").exists()
+
+
+_SIM_OPTIONS = {"--seed", "--out", "--config", "--max-rate", "--measure-time",
+                "--visibility", "--theta", "--dyn-offset"}
+_OPTIONS = {
+    "analytic": {"--seed", "--out", "--config", "--gamma-points",
+                 "--gamma-list"},
+    "surface": {"--seed", "--out", "--config", "--gamma", "--step"},
+    "simulate": _SIM_OPTIONS | {"--delta", "--gamma", "--chi-points",
+                                "--chi-periods", "--flipper-off", "--exact"},
+    "beam-block": _SIM_OPTIONS | {"--blocked-path", "--gamma",
+                                  "--delta-points", "--exact"},
+    "scan-polar": _SIM_OPTIONS | {"--gamma-list", "--delta-step",
+                                  "--chi-points", "--chi-periods", "--exact",
+                                  "--normalize-contrast"},
+    "scan-azimuthal": _SIM_OPTIONS | {"--gamma-list", "--chi-points",
+                                      "--chi-periods", "--exact",
+                                      "--normalize-contrast"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(_OPTIONS))
+def test_subcommand_options_are_pinned(capsys, command):
+    with pytest.raises(SystemExit) as stop:
+        main([command, "--help"])
+    assert stop.value.code == 0
+    text = capsys.readouterr().out
+    assert set(re.findall(r"--[a-z][a-z-]*", text)) == \
+        _OPTIONS[command] | {"--help"}
+    # every option's help line comes from its field row
+    for name in cli._COMMANDS[command].fields:
+        assert cli._FIELDS[name].help in " ".join(text.split())
+
+
+# ---------------------------------------------------------------------------
+# the two gamma sources are one choice
+# ---------------------------------------------------------------------------
+
+def test_gamma_flag_replaces_both_config_gamma_sources(tmp_path):
+    first = tmp_path / "first"
+    assert main(["analytic", "--gamma-points", "25", "--out", str(first)]) == 0
+    manifest = str(first / "manifest.txt")
+    out = tmp_path / "points"
+    assert main(["analytic", "--config", manifest, "--gamma-points", "5",
+                 "--out", str(out)]) == 0
+    _, rows = read_csv_rows(out / "analytic.csv")
+    assert [float(r[0]) for r in rows] == \
+        list(np.linspace(0.0, 2 * math.pi, 5, endpoint=False))
+    config = tmp_path / "points.cfg"
+    config.write_text("gamma_points = 5\n", encoding="utf-8")
+    out = tmp_path / "list"
+    assert main(["analytic", "--config", str(config), "--gamma-list", "0,1",
+                 "--out", str(out)]) == 0
+    _, rows = read_csv_rows(out / "analytic.csv")
+    assert [float(r[0]) for r in rows] == [0.0, 1.0]
+
+
+def test_both_gamma_flags_are_rejected(tmp_path, capsys):
+    out = tmp_path / "x"
+    code = main(["analytic", "--gamma-points", "5", "--gamma-list", "0,1",
+                 "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "gamma_points" in err and "gamma_list" in err
+    assert not (out / "manifest.txt").exists()

@@ -463,6 +463,11 @@ def test_kv_roundtrip():
     assert parsed == data
 
 
+def test_kv_duplicate_key_is_rejected_by_name():
+    with pytest.raises(ValueError, match="visibility"):
+        parse_kv("visibility = 0.5\nseed = 1\nvisibility = 0.9\n")
+
+
 def test_interferogram_validation():
     with pytest.raises(ValueError):
         BeamBlockScan(np.array([0.0, 1.0]), np.array([1]), "I", 0.0)
